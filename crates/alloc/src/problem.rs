@@ -74,10 +74,9 @@ impl<'a> AllocationProblem<'a> {
 impl<'a> Problem for AllocationProblem<'a> {
     type Genome = Allocation;
     /// Population-aware: engines hand whole offspring generations to
-    /// [`Problem::evaluate_batch`], and the [`BatchEvaluator`] keeps a pool
-    /// of persistent workers (warm delta-schedule caches) across
-    /// generations. Single-shot calls run on its primary worker, which is a
-    /// plain [`Evaluator`].
+    /// [`Problem::evaluate_batch`], and the [`BatchEvaluator`] owns the
+    /// parallelism split. Single-shot calls run on its primary
+    /// [`hetsched_sim::Evaluator`].
     type Evaluator = BatchEvaluator<'a>;
     type Move = TaskMove;
 
@@ -187,22 +186,6 @@ impl<'a> Problem for AllocationProblem<'a> {
         }
     }
 
-    /// Incremental evaluation through the simulator's schedule cache; with
-    /// the `delta-eval` feature disabled this method is not compiled and
-    /// the trait default (full re-evaluation) applies — the bisection
-    /// switch for any suspected divergence.
-    #[cfg(feature = "delta-eval")]
-    fn evaluate_moves(
-        &self,
-        ev: &mut BatchEvaluator<'a>,
-        base: &Allocation,
-        child: &Allocation,
-        moves: &[TaskMove],
-    ) -> Objectives {
-        let outcome = ev.primary().evaluate_delta(base, child, moves);
-        [-outcome.utility, outcome.energy]
-    }
-
     /// Whole-population evaluation in one simulator call: requests map to
     /// [`BatchJob`]s (certified no-ops become [`BatchJob::Skip`] and never
     /// reach a worker), and the [`BatchEvaluator`] owns the parallelism
@@ -219,12 +202,7 @@ impl<'a> Problem for AllocationProblem<'a> {
             .iter()
             .map(|request| match request {
                 BatchRequest::Full(genome) => BatchJob::Full(genome),
-                BatchRequest::Moves { moves, .. } if moves.is_empty() => BatchJob::Skip,
-                #[cfg(feature = "delta-eval")]
-                BatchRequest::Moves {
-                    base, child, moves, ..
-                } => BatchJob::Delta { base, child, moves },
-                #[cfg(not(feature = "delta-eval"))]
+                BatchRequest::Moves { moves: [], .. } => BatchJob::Skip,
                 BatchRequest::Moves { child, .. } => BatchJob::Full(child),
             })
             .collect();

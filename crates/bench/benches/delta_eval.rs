@@ -1,27 +1,29 @@
-//! Incremental (delta) evaluation vs full re-evaluation on mutation-heavy
-//! workloads — the benchmark behind README § Performance.
+//! Evaluator cost on mutation-heavy workloads — the benchmark behind
+//! README § Performance.
 //!
 //! Models the engines' hot loop at population 100: each step picks one
 //! individual, applies a two-gene mutation (the allocation problem's
 //! mutation operator touches at most two tasks), and needs the mutant's
-//! objectives. The `full` arm re-runs the reference evaluator on the
-//! mutated genome (sort + full schedule walk); the `delta` arm asks the
-//! individual's persistent [`DeltaEval`] schedule cache to apply just the
-//! two moves. Both arms consume the *same* pre-generated move stream, so
-//! they score identical work.
+//! objectives. The `full` arm runs the evaluator on the mutated genome
+//! (sequence build + schedule sweep).
 //!
 //! The `batched` arm evaluates one whole generation per iteration — 100
 //! two-move mutant offspring in a single [`BatchEvaluator::evaluate_jobs`]
-//! call, exactly how the engines now feed the evaluator — so its per-iter
+//! call, exactly how the engines feed the evaluator — so its per-iter
 //! time covers 100 evaluations (divide by 100 to compare per-evaluation
-//! cost with the other arms).
+//! cost with the `full` arm).
+//!
+//! Order keys are drawn from `0..10_000`, above the task count, so both
+//! arms take the evaluator's comparison-sort path, as when the recorded
+//! baseline was taken; the engines' genomes keep keys below the task
+//! count and take the counting sort.
 //!
 //! Run: `cargo bench -p hetsched-bench --bench delta_eval`
 //! Smoke: `cargo bench -p hetsched-bench -- --test`
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetsched_data::{real_system, HcSystem, MachineId, MachineInventory};
-use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, DeltaEval, Evaluator, TaskMove};
+use hetsched_sim::{Allocation, BatchEvaluator, BatchJob, Evaluator, TaskMove};
 use hetsched_workload::{Trace, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,56 +95,31 @@ fn bench_system(c: &mut Criterion, label: &str, sys: &HcSystem, trace: &Trace) {
             ev.evaluate(&population[*i])
         });
     });
-    group.bench_function("delta", |b| {
-        let mut population: Vec<DeltaEval> = genomes
-            .iter()
-            .map(|g| DeltaEval::new(sys, trace, g))
-            .collect();
-        let mut k = 0usize;
-        b.iter(|| {
-            let (i, moves) = &stream[k % stream.len()];
-            k += 1;
-            population[*i].apply_moves(moves)
-        });
-    });
     group.bench_function("batched", |b| {
         // One generation per iteration: POPULATION two-move offspring
-        // evaluated in a single call, then committed as the next bases so
-        // the worker pools stay warm, as in a real engine run.
+        // evaluated in a single call, then committed as the next bases, as
+        // in a real engine run.
         let mut population = genomes.clone();
         let mut batch = BatchEvaluator::new(sys, trace);
         let mut k = 0usize;
         b.iter(|| {
             let start = k;
             k += POPULATION;
-            let children: Vec<(usize, Allocation, [TaskMove; 2])> = (0..POPULATION)
+            let children: Vec<(usize, Allocation)> = (0..POPULATION)
                 .map(|j| {
                     let (i, moves) = &stream[(start + j) % stream.len()];
                     let mut child = population[*i].clone();
                     apply(&mut child, moves);
-                    (*i, child, *moves)
+                    (*i, child)
                 })
                 .collect();
             let jobs: Vec<BatchJob<'_>> = children
                 .iter()
-                .map(|(_base, child, _moves)| {
-                    #[cfg(feature = "delta-eval")]
-                    {
-                        BatchJob::Delta {
-                            base: &population[*_base],
-                            child,
-                            moves: _moves,
-                        }
-                    }
-                    #[cfg(not(feature = "delta-eval"))]
-                    {
-                        BatchJob::Full(child)
-                    }
-                })
+                .map(|(_, child)| BatchJob::Full(child))
                 .collect();
             let outcomes = batch.evaluate_jobs(&jobs, true);
             drop(jobs);
-            for (i, child, _) in children {
+            for (i, child) in children {
                 population[i] = child;
             }
             outcomes

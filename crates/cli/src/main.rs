@@ -90,17 +90,46 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let _ = tracing_subscriber::fmt()
         .with_directives(options.log_directives.clone())
         .try_init();
-    // `--trace-out` arms the span sink for the whole command: every span
-    // the run closes is appended to the JSONL file as it completes.
-    if let Some(path) = &options.trace_out {
+    // `--trace-out` records the command's span tree: every span it closes
+    // is appended to the JSONL file as it completes.
+    let route = options
+        .trace_out
+        .as_deref()
+        .map(TraceRoute::open)
+        .transpose()?;
+    let _in_command = route.as_ref().map(|route| route.root.enter());
+    dispatch(command, &options)
+}
+
+/// Routes one command's spans to its `--trace-out` file by trace id: the
+/// command runs under a root `command` span whose trace id is registered
+/// with the process-wide [`hetsched_core::TraceMux`]. Spans of other
+/// traces in the same process (a concurrent or later command) never reach
+/// the file. Drop closes the root span, removes the route and flushes the
+/// file, also when the command unwinds.
+struct TraceRoute {
+    root: tracing::Span,
+    mux: &'static hetsched_core::TraceMux,
+}
+
+impl TraceRoute {
+    fn open(path: &str) -> Result<TraceRoute, CliError> {
         let writer = hetsched_core::TraceWriter::create(path)?;
-        hetsched_core::install_tracing(tracing::Level::TRACE, Some(std::sync::Arc::new(writer)))?;
+        let mux = hetsched_core::install_tracing(tracing::Level::TRACE, None)?;
+        let root = tracing::Span::root(tracing::Level::TRACE, module_path!(), "command");
+        mux.register(root.context().trace_id(), std::sync::Arc::new(writer));
+        Ok(TraceRoute { root, mux })
     }
-    let result = dispatch(command, &options);
-    if options.trace_out.is_some() {
-        tracing::flush_span_sink();
+}
+
+impl Drop for TraceRoute {
+    fn drop(&mut self) {
+        let trace_id = self.root.context().trace_id();
+        drop(std::mem::replace(&mut self.root, tracing::Span::none()));
+        if let Some(writer) = self.mux.deregister(trace_id) {
+            writer.flush_writer();
+        }
     }
-    result
 }
 
 fn dispatch(command: &str, options: &Options) -> Result<(), CliError> {

@@ -164,17 +164,29 @@ impl Framework {
     /// one is given. Populations still run in parallel; the journal
     /// serialises appends internally.
     pub fn run_with_journal(&self, journal: Option<&RunJournal>) -> AnalysisReport {
+        // Populations may run on other threads: parent their spans to the
+        // caller's explicitly so they stay in the caller's trace.
+        let parent = tracing::current_span();
         let runs: Vec<PopulationRun> = self
             .config
             .seeds
             .par_iter()
             .enumerate()
-            .map(|(i, &seed)| match journal {
-                Some(journal) => {
-                    let mut observer = JournalObserver::new(journal, seed, i as u64);
-                    self.run_population_observed(seed, i as u64, &mut observer)
+            .map(|(i, &seed)| {
+                let population_span = tracing::Span::child_of(
+                    parent,
+                    tracing::Level::TRACE,
+                    module_path!(),
+                    "population",
+                );
+                let _in_population = population_span.enter();
+                match journal {
+                    Some(journal) => {
+                        let mut observer = JournalObserver::new(journal, seed, i as u64);
+                        self.run_population_observed(seed, i as u64, &mut observer)
+                    }
+                    None => self.run_population(seed, i as u64),
                 }
-                None => self.run_population(seed, i as u64),
             })
             .collect();
         if let Some(journal) = journal {
@@ -205,10 +217,18 @@ impl Framework {
         if replicates == 0 {
             return Err(CoreError::InvalidConfig("replicates must be >= 1"));
         }
+        let parent = tracing::current_span();
         let reports: Vec<AnalysisReport> = (0..replicates as u64)
             .collect::<Vec<_>>()
             .par_iter()
             .map(|&r| {
+                let replicate_span = tracing::Span::child_of(
+                    parent,
+                    tracing::Level::TRACE,
+                    module_path!(),
+                    "replicate",
+                );
+                let _in_replicate = replicate_span.enter();
                 // Reuse this framework's system and trace; only the engine
                 // streams differ between replicates.
                 self.variant(

@@ -143,18 +143,25 @@ impl EngineReoptimizer {
 
     /// Builds the seed pool for one tick.
     fn seeds(&self, ctx: &HorizonContext<'_>) -> Vec<Allocation> {
-        let cold = self.spec.seed_kind.seeds(ctx.system, ctx.trace);
         if ctx.tick == 0 || !self.spec.warm_start || self.front.is_empty() {
-            return cold;
+            return self.spec.seed_kind.seeds(ctx.system, ctx.trace);
         }
         let repair = min_min_completion_time(ctx.system, ctx.trace);
+        let greedy = max_utility(ctx.system, ctx.trace);
+        // The heuristics are deterministic: a seed kind the pool already
+        // holds is reused, not computed twice.
+        let cold = match self.spec.seed_kind {
+            SeedKind::MinMinCompletionTime => vec![repair.clone()],
+            SeedKind::MaxUtility => vec![greedy.clone()],
+            kind => kind.seeds(ctx.system, ctx.trace),
+        };
         let mut pool: Vec<Allocation> = self
             .front
             .iter()
             .map(|g| project(g, &repair, ctx.carried))
             .collect();
         pool.push(repair);
-        pool.push(max_utility(ctx.system, ctx.trace));
+        pool.push(greedy);
         pool.extend(cold);
         prepare_warm_seeds(pool, self.spec.engine.population())
     }

@@ -123,9 +123,9 @@ impl<'a, P: Problem> Nsga2<'a, P> {
     /// Fully evaluates a batch of genomes through the problem's
     /// population-level entry point ([`Problem::evaluate_batch`]). The
     /// long-lived evaluator in `slot` (created on first use) persists
-    /// across generations so evaluator state — scratch buffers, the delta
-    /// schedule pool — stays warm; evaluation is a pure function of the
-    /// genome, so persistence cannot change any result.
+    /// across generations so evaluator state (scratch buffers) stays
+    /// warm; evaluation is a pure function of the genome, so persistence
+    /// cannot change any result.
     fn evaluate_all(
         &self,
         genomes: Vec<P::Genome>,

@@ -3,8 +3,8 @@
 use crate::dominance::Objectives;
 use rand::RngCore;
 
-/// What a variation operator reports about the child it produced, enabling
-/// incremental (delta) evaluation downstream.
+/// What a variation operator reports about the child it produced, so an
+/// engine can skip evaluating a child identical to its base.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Variation<M> {
     /// The operator did not track its edits; the child must be evaluated

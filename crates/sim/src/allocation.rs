@@ -23,6 +23,23 @@ pub struct Allocation {
     pub order: Vec<u32>,
 }
 
+/// One gene rewrite: task `task` now runs on `machine` with global
+/// scheduling-order key `order` (absolute new values, not deltas).
+///
+/// A sequence of moves is applied left to right; a later move for the same
+/// task overrides an earlier one. The tracked variation operators report
+/// the exact base→child diff as a move list, so an engine can tell a child
+/// identical to its parent (no moves) and reuse the parent's objectives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskMove {
+    /// Index of the rewritten task (gene) in the trace.
+    pub task: u32,
+    /// The task's new machine assignment.
+    pub machine: MachineId,
+    /// The task's new global scheduling-order key.
+    pub order: u32,
+}
+
 impl Allocation {
     /// Creates an allocation with the given assignment and arrival-order
     /// scheduling (task i has key i).

@@ -1,25 +1,20 @@
 //! Population-level batch evaluation.
 //!
-//! The engines' offspring loops used to drive parallelism per cell
-//! (rayon `map_init` with a fresh [`Evaluator`] per worker, rebuilt every
-//! generation). [`BatchEvaluator`] moves that split up to the evaluator
-//! layer: one call evaluates a whole offspring population against a pool
-//! of *persistent* worker evaluators whose delta-schedule caches stay
-//! warm across generations. Results are returned in job order, and each
-//! job runs exactly the same float operations as the corresponding
-//! single-shot [`Evaluator`] call, so batching preserves the bit-identity
-//! contract of [`crate::delta`].
-//!
-//! Worker `k` always receives the same contiguous slice position of the
-//! batch, and the split is deterministic in the batch length, so runs are
-//! reproducible whether or not threads are actually spawned.
+//! [`BatchEvaluator`] evaluates a whole offspring population in one call.
+//! A parallel batch fans out through the rayon pool, one clone of the
+//! primary [`Evaluator`] per worker; under the pool's process-wide thread
+//! budget a batch nested inside a population or cell fan-out runs inline
+//! when every core is already busy, and splits only across idle cores.
+//! Results are returned in job order, and each job runs exactly the same
+//! float operations as the corresponding single-shot [`Evaluator`] call,
+//! so a batch is bit-identical to a serial loop however it is split.
 
 use crate::allocation::Allocation;
-#[cfg(feature = "delta-eval")]
-use crate::delta::TaskMove;
 use crate::evaluator::{Evaluator, Outcome};
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One evaluation request in a batch.
 ///
@@ -30,141 +25,74 @@ use hetsched_workload::Trace;
 pub enum BatchJob<'g> {
     /// Full evaluation of one allocation.
     Full(&'g Allocation),
-    /// Incremental evaluation: `child` equals `base` with `moves` applied.
-    /// Falls back to a full evaluation of `child` when the crate is built
-    /// without the `delta-eval` feature.
-    #[cfg(feature = "delta-eval")]
-    Delta {
-        /// The parent allocation whose schedule may be pooled.
-        base: &'g Allocation,
-        /// The offspring allocation to evaluate.
-        child: &'g Allocation,
-        /// The exact base→child diff, applied left to right.
-        moves: &'g [TaskMove],
-    },
     /// No evaluation needed; [`BatchEvaluator::evaluate_jobs`] returns
     /// `None` in this slot.
     Skip,
 }
 
-/// Evaluates batches of jobs across a pool of persistent [`Evaluator`]
-/// workers.
-///
-/// Worker 0 is the *primary*: serial batches and all single-shot calls
-/// (via [`BatchEvaluator::primary`]) run on it, so its delta pool sees
-/// every schedule an unbatched run would have seen. Extra workers are
-/// cloned lazily from the primary (clones are cheap — empty pool, shared
-/// system/trace) the first time a parallel batch needs them, and then
-/// kept, so their pools warm up too.
+/// Evaluates batches of jobs, serially on its primary [`Evaluator`] or
+/// across the rayon pool.
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator<'a> {
-    workers: Vec<Evaluator<'a>>,
-    threads: usize,
+    primary: Evaluator<'a>,
 }
 
 impl<'a> BatchEvaluator<'a> {
-    /// Creates a batch evaluator bound to one system + trace, with a
-    /// single (primary) worker. The worker pool grows on demand up to the
-    /// machine's available parallelism.
+    /// Creates a batch evaluator bound to one system + trace.
     pub fn new(system: &'a HcSystem, trace: &'a Trace) -> Self {
         BatchEvaluator {
-            workers: vec![Evaluator::new(system, trace)],
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            primary: Evaluator::new(system, trace),
         }
     }
 
-    /// Wraps an existing evaluator as the primary worker, preserving its
-    /// warm delta pool.
-    pub fn from_evaluator(primary: Evaluator<'a>) -> Self {
-        BatchEvaluator {
-            workers: vec![primary],
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-
-    /// The primary worker, for single-shot evaluation between batches.
+    /// The primary evaluator, for single-shot evaluation between batches.
     pub fn primary(&mut self) -> &mut Evaluator<'a> {
-        &mut self.workers[0]
-    }
-
-    /// Shared view of the primary worker.
-    pub fn primary_ref(&self) -> &Evaluator<'a> {
-        &self.workers[0]
-    }
-
-    /// Number of workers currently instantiated (≥ 1).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        &mut self.primary
     }
 
     /// Evaluates every job, returning outcomes in job order (`None` for
     /// [`BatchJob::Skip`] slots).
     ///
-    /// With `parallel == false`, or when the batch is too small to split,
-    /// everything runs on the primary worker — exactly the sequence of
-    /// calls an unbatched loop would have made. With `parallel == true`
-    /// the batch is split into contiguous chunks, one per worker, executed
-    /// under `std::thread::scope`; within a chunk jobs still run in order
-    /// on one worker, so every individual result is bit-identical to the
-    /// serial path (evaluation is pure per job — only the pool warm-up
-    /// pattern differs, which affects speed, never values).
+    /// With `parallel == false` everything runs on the primary evaluator —
+    /// exactly the sequence of calls an unbatched loop would have made.
+    /// With `parallel == true` the jobs fan out through the rayon pool,
+    /// each worker evaluating the jobs it takes on its own clone of the
+    /// primary; evaluation is pure per job, so every result is
+    /// bit-identical to the serial path.
     pub fn evaluate_jobs(&mut self, jobs: &[BatchJob<'_>], parallel: bool) -> Vec<Option<Outcome>> {
-        let threads = if parallel {
-            self.threads.min(jobs.len()).max(1)
-        } else {
-            1
-        };
         // The batch span nests under the engine's evaluation phase via the
-        // caller's thread; worker chunks stay untraced (clock reads only —
-        // evaluation itself is RNG-free and bit-identical either way).
-        let batch_span = tracing::span!(
-            tracing::Level::TRACE,
-            "batch",
-            jobs = jobs.len() as u64,
-            threads = threads as u64
-        );
-        let _in_batch = batch_span.enter();
-        if threads <= 1 || jobs.len() < 2 {
-            let primary = &mut self.workers[0];
-            return jobs.iter().map(|job| Self::run(primary, job)).collect();
-        }
-        while self.workers.len() < threads {
-            let clone = self.workers[0].clone();
-            self.workers.push(clone);
-        }
-        let mut out: Vec<Option<Outcome>> = vec![None; jobs.len()];
-        let chunk = jobs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut workers: &mut [Evaluator<'a>] = &mut self.workers[..threads];
-            let mut jobs_rest = jobs;
-            let mut out_rest: &mut [Option<Outcome>] = &mut out;
-            while !jobs_rest.is_empty() {
-                let take = chunk.min(jobs_rest.len());
-                let (job_chunk, jr) = jobs_rest.split_at(take);
-                let (out_chunk, or) = out_rest.split_at_mut(take);
-                let (worker, wr) = workers.split_first_mut().expect("worker per chunk");
-                jobs_rest = jr;
-                out_rest = or;
-                workers = wr;
-                scope.spawn(move || {
-                    for (slot, job) in out_chunk.iter_mut().zip(job_chunk) {
-                        *slot = Self::run(worker, job);
-                    }
-                });
-            }
-        });
+        // caller's thread and records how many threads the batch ran on;
+        // the workers stay untraced (evaluation is RNG-free and
+        // bit-identical either way).
+        let mut batch_span =
+            tracing::span!(tracing::Level::TRACE, "batch", jobs = jobs.len() as u64);
+        let in_batch = batch_span.enter();
+        let (out, threads) = if parallel {
+            let threads = AtomicU64::new(0);
+            let primary = &self.primary;
+            let out = jobs
+                .par_iter()
+                .map_init(
+                    || {
+                        threads.fetch_add(1, Ordering::Relaxed);
+                        primary.clone()
+                    },
+                    |worker, job| Self::run(worker, job),
+                )
+                .collect();
+            (out, threads.into_inner())
+        } else {
+            let primary = &mut self.primary;
+            (jobs.iter().map(|job| Self::run(primary, job)).collect(), 1)
+        };
+        drop(in_batch);
+        batch_span.record("threads", threads);
         out
     }
 
     fn run(ev: &mut Evaluator<'a>, job: &BatchJob<'_>) -> Option<Outcome> {
         match job {
             BatchJob::Full(alloc) => Some(ev.evaluate(alloc)),
-            #[cfg(feature = "delta-eval")]
-            BatchJob::Delta { base, child, moves } => Some(ev.evaluate_delta(base, child, moves)),
             BatchJob::Skip => None,
         }
     }
@@ -227,79 +155,5 @@ mod tests {
         assert!(got[0].is_none());
         assert!(got[1].is_some());
         assert!(got[2].is_none());
-    }
-
-    #[cfg(feature = "delta-eval")]
-    #[test]
-    fn batched_delta_jobs_match_single_shot_bitwise() {
-        use crate::delta::TaskMove;
-        let sys = real_system();
-        let trace = TraceGenerator::new(60, 600.0, sys.task_type_count())
-            .generate(&mut StdRng::seed_from_u64(19))
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let base = random_alloc(&mut rng, 60, sys.machine_count());
-        let mut children = Vec::new();
-        for _ in 0..12 {
-            let mut child = base.clone();
-            let t = rng.gen_range(0..60usize);
-            let mv = TaskMove {
-                task: t as u32,
-                machine: MachineId(rng.gen_range(0..sys.machine_count() as u32)),
-                order: rng.gen_range(0..1000),
-            };
-            child.machine[t] = mv.machine;
-            child.order[t] = mv.order;
-            children.push((child, vec![mv]));
-        }
-        let mut reference = Evaluator::new(&sys, &trace);
-        let expected: Vec<Outcome> = children
-            .iter()
-            .map(|(c, m)| reference.evaluate_delta(&base, c, m))
-            .collect();
-        for parallel in [false, true] {
-            let mut batch = BatchEvaluator::new(&sys, &trace);
-            // Warm the primary the same way the reference warmed up.
-            let jobs: Vec<BatchJob<'_>> = children
-                .iter()
-                .map(|(c, m)| BatchJob::Delta {
-                    base: &base,
-                    child: c,
-                    moves: m,
-                })
-                .collect();
-            let got = batch.evaluate_jobs(&jobs, parallel);
-            for (g, e) in got.iter().zip(&expected) {
-                let g = g.expect("delta job yields an outcome");
-                assert_eq!(g.utility.to_bits(), e.utility.to_bits());
-                assert_eq!(g.energy.to_bits(), e.energy.to_bits());
-                assert_eq!(g.makespan.to_bits(), e.makespan.to_bits());
-            }
-        }
-    }
-
-    #[cfg(feature = "delta-eval")]
-    #[test]
-    fn worker_pools_stay_warm_across_batches() {
-        let sys = real_system();
-        let trace = TraceGenerator::new(30, 600.0, sys.task_type_count())
-            .generate(&mut StdRng::seed_from_u64(5))
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let base = random_alloc(&mut rng, 30, sys.machine_count());
-        let mut batch = BatchEvaluator::new(&sys, &trace);
-        let jobs = [BatchJob::Delta {
-            base: &base,
-            child: &base,
-            moves: &[],
-        }];
-        batch.evaluate_jobs(&jobs, false);
-        assert!(
-            batch.primary_ref().delta_pool_len() > 0,
-            "primary pool warms across batches"
-        );
-        // A second identical batch must hit the pool, not rebuild.
-        batch.evaluate_jobs(&jobs, false);
-        assert_eq!(batch.primary_ref().delta_pool_len(), 1);
     }
 }

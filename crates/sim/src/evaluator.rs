@@ -5,8 +5,6 @@
 //! performs no per-call allocation after warm-up.
 
 use crate::allocation::Allocation;
-#[cfg(feature = "delta-eval")]
-use crate::delta::{genome_fingerprint, ScheduleCache, TaskMove};
 use crate::Result;
 use hetsched_data::HcSystem;
 use hetsched_workload::Trace;
@@ -21,7 +19,6 @@ pub mod counters {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TOTAL: AtomicU64 = AtomicU64::new(0);
-    static DELTA_HITS: AtomicU64 = AtomicU64::new(0);
 
     /// Adds `n` evaluations to the process-wide total.
     pub fn add(n: u64) {
@@ -29,8 +26,7 @@ pub mod counters {
     }
 
     /// The process-wide total of objective evaluations requested through
-    /// an `Evaluator` — full recomputations and incremental (delta)
-    /// updates alike. Evaluations *skipped* outright (an engine reusing a
+    /// an `Evaluator`. Evaluations *skipped* outright (an engine reusing a
     /// parent's objectives for a bit-identical child) never reach the
     /// evaluator and are therefore not counted; the drop is observable
     /// here.
@@ -38,32 +34,12 @@ pub mod counters {
         TOTAL.load(Ordering::Relaxed)
     }
 
-    /// Adds `n` delta-path cache hits to the process-wide total.
-    pub fn add_delta_hits(n: u64) {
-        DELTA_HITS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The process-wide subset of [`total`] served by the incremental
-    /// path (`Evaluator::evaluate_delta` schedule-cache hits).
-    pub fn delta_hits() -> u64 {
-        DELTA_HITS.load(Ordering::Relaxed)
-    }
-
-    /// Resets the totals (tests only — the counters are process-global,
-    /// so concurrent tests should assert on deltas instead).
+    /// Resets the total (tests only — the counter is process-global, so
+    /// concurrent tests should assert on deltas instead).
     pub fn reset() {
         TOTAL.store(0, Ordering::Relaxed);
-        DELTA_HITS.store(0, Ordering::Relaxed);
     }
 }
-
-/// Number of parent schedules the delta pool retains (LRU). Sized for a
-/// couple of generations of a population-100 run: large enough that every
-/// surviving parent's schedule is still cached when its offspring arrive,
-/// small enough that the linear fingerprint scan stays negligible next to
-/// one evaluation.
-#[cfg(feature = "delta-eval")]
-const DELTA_POOL_CAP: usize = 256;
 
 /// The objective values of one allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,8 +54,8 @@ pub struct Outcome {
 
 /// Reusable evaluator bound to one system + trace.
 ///
-/// Cloning is cheap (buffers are rebuilt lazily), so parallel evaluation can
-/// give each worker thread its own `Evaluator`.
+/// Cloning is cheap (a few scratch buffers of O(tasks + machines)), so
+/// parallel evaluation can give each worker thread its own `Evaluator`.
 ///
 /// ```
 /// use hetsched_data::{real_system, MachineId};
@@ -98,12 +74,15 @@ pub struct Outcome {
 /// assert!(outcome.energy >= evaluator.min_possible_energy());
 /// assert!(outcome.utility <= evaluator.max_possible_utility());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     system: &'a HcSystem,
     trace: &'a Trace,
     /// Scratch: task indices sorted by (order key, task id).
     sequence: Vec<u32>,
+    /// Scratch for the counting sort: per order key, the next free slot
+    /// of `sequence`.
+    key_slot: Vec<u32>,
     /// Scratch: next-free time per machine.
     machine_free: Vec<f64>,
     /// Scratch: per-machine utility subtotals (see `evaluate` for why the
@@ -115,45 +94,10 @@ pub struct Evaluator<'a> {
     /// and callers consult them once per evaluation in hot loops.
     min_energy: f64,
     max_utility: f64,
-    /// LRU pool of parent schedules for [`Evaluator::evaluate_delta`]:
-    /// most-recently-used last. Clones start with an empty pool — the pool
-    /// is a cache, and caches warm per instance.
-    #[cfg(feature = "delta-eval")]
-    pool: Vec<ScheduleCache>,
     /// Calls to [`Evaluator::evaluate`] on this instance (clones inherit
     /// the count at the moment of cloning).
     #[cfg(feature = "eval-counters")]
     evaluations: u64,
-    /// Subset of `evaluations` served by the incremental path.
-    #[cfg(feature = "eval-counters")]
-    delta_hits: u64,
-}
-
-// Hand-written: deriving `Clone` would deep-copy the warm delta pool — up
-// to [`DELTA_POOL_CAP`] `ScheduleCache`s, each O(tasks + machines) — which
-// broke the "cloning is cheap" contract per-thread evaluators rely on. A
-// clone is a fresh worker bound to the same system/trace: empty scratch,
-// empty pool, but it inherits the instance counters (they describe work
-// already attributed to this lineage).
-impl Clone for Evaluator<'_> {
-    fn clone(&self) -> Self {
-        Evaluator {
-            system: self.system,
-            trace: self.trace,
-            sequence: Vec::with_capacity(self.trace.len()),
-            machine_free: vec![0.0; self.system.machine_count()],
-            machine_util: vec![0.0; self.system.machine_count()],
-            machine_energy: vec![0.0; self.system.machine_count()],
-            min_energy: self.min_energy,
-            max_utility: self.max_utility,
-            #[cfg(feature = "delta-eval")]
-            pool: Vec::new(),
-            #[cfg(feature = "eval-counters")]
-            evaluations: self.evaluations,
-            #[cfg(feature = "eval-counters")]
-            delta_hits: self.delta_hits,
-        }
-    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -168,25 +112,20 @@ impl<'a> Evaluator<'a> {
             system,
             trace,
             sequence: Vec::with_capacity(trace.len()),
+            key_slot: Vec::with_capacity(trace.len() + 1),
             machine_free: vec![0.0; system.machine_count()],
             machine_util: vec![0.0; system.machine_count()],
             machine_energy: vec![0.0; system.machine_count()],
             min_energy,
             max_utility: trace.max_possible_utility(),
-            #[cfg(feature = "delta-eval")]
-            pool: Vec::new(),
             #[cfg(feature = "eval-counters")]
             evaluations: 0,
-            #[cfg(feature = "eval-counters")]
-            delta_hits: 0,
         }
     }
 
-    /// Number of objective evaluations performed by this instance —
-    /// [`Evaluator::evaluate`] calls plus `evaluate_delta` requests (both
-    /// hits and rebuilds). Always 0 unless the crate is built with the
-    /// `eval-counters` feature (off by default, keeping the hot path free
-    /// of bookkeeping).
+    /// Number of [`Evaluator::evaluate`] calls on this instance. Always 0
+    /// unless the crate is built with the `eval-counters` feature (off by
+    /// default, keeping the hot path free of bookkeeping).
     pub fn evaluations(&self) -> u64 {
         #[cfg(feature = "eval-counters")]
         {
@@ -198,12 +137,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Resets the evaluation counters (a no-op without `eval-counters`).
+    /// Resets the evaluation counter (a no-op without `eval-counters`).
     pub fn reset_evaluations(&mut self) {
         #[cfg(feature = "eval-counters")]
         {
             self.evaluations = 0;
-            self.delta_hits = 0;
         }
     }
 
@@ -232,13 +170,7 @@ impl<'a> Evaluator<'a> {
             counters::add(1);
         }
         let tasks = self.trace.tasks();
-
-        // Rebuild the execution sequence: ascending (order key, task id).
-        self.sequence.clear();
-        self.sequence.extend(0..tasks.len() as u32);
-        let order = &alloc.order;
-        self.sequence
-            .sort_unstable_by_key(|&i| (order[i as usize], i));
+        self.build_sequence(&alloc.order);
 
         let mc = self.system.machine_count();
         self.machine_free.clear();
@@ -249,10 +181,10 @@ impl<'a> Evaluator<'a> {
         self.machine_energy.resize(mc, 0.0);
 
         // Accumulate per machine, then sum across machines in machine-index
-        // order. This is the contract the incremental path (`ScheduleCache`)
-        // reproduces: each machine subtotal is a left fold in queue order and
-        // the cross-machine sum is one fixed-order loop, so delta results are
-        // bit-identical to full evaluations — not merely close.
+        // order. Each machine subtotal is a left fold in queue order and the
+        // cross-machine sum is one fixed-order loop, so the totals' bits do
+        // not depend on how queues interleave — the event-driven oracle
+        // (`crate::events`) folds the same way and agrees bit for bit.
         for &i in &self.sequence {
             let task = &tasks[i as usize];
             let machine = alloc.machine[i as usize];
@@ -280,85 +212,44 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates `child` incrementally: `child` must equal `base` with
-    /// `moves` applied left to right (the tracked variation operators emit
-    /// exactly that diff). When `base`'s schedule is in the pool the cost
-    /// is proportional to the touched queue tails; otherwise the child's
-    /// schedule is built from scratch — one full evaluation's worth of
-    /// work — and cached for future hits either way.
+    /// Rebuilds the execution sequence: task ids in ascending
+    /// (order key, task id).
     ///
-    /// The result is bit-identical to `evaluate(child)`; see
-    /// [`crate::delta`] for why.
-    #[cfg(feature = "delta-eval")]
-    pub fn evaluate_delta(
-        &mut self,
-        base: &Allocation,
-        child: &Allocation,
-        moves: &[TaskMove],
-    ) -> Outcome {
-        debug_assert!(child.validate(self.system, self.trace).is_ok());
-        #[cfg(feature = "eval-counters")]
-        {
-            self.evaluations += 1;
-            counters::add(1);
-        }
-        // A wide delta touches most queues anyway; rebuilding is cheaper
-        // than replaying the moves one by one.
-        if moves.len() * 4 <= self.trace.len() {
-            let fp = genome_fingerprint(base);
-            if let Some(idx) = self
-                .pool
-                .iter()
-                .position(|c| c.fingerprint() == fp && c.baseline() == base)
-            {
-                let mut cache = self.pool.remove(idx);
-                let out = cache.apply(self.system, self.trace, moves);
-                debug_assert_eq!(
-                    cache.baseline(),
-                    child,
-                    "moves must describe exactly the base→child diff"
-                );
-                #[cfg(feature = "eval-counters")]
-                {
-                    self.delta_hits += 1;
-                    counters::add_delta_hits(1);
-                }
-                self.pool.push(cache);
-                return out;
+    /// When every key is below T — true of every genome the operators and
+    /// seeding heuristics produce, whose keys are drawn from a permutation
+    /// of `0..T` — a stable counting sort builds it in O(T): count each
+    /// key, turn the counts into start slots, then scatter the ids in
+    /// ascending order, so ties keep id order. Any other key (a horizon
+    /// carry map, a hand-built allocation) falls back to the comparison
+    /// sort, which yields the identical sequence.
+    fn build_sequence(&mut self, order: &[u32]) {
+        let t = order.len();
+        self.key_slot.clear();
+        self.key_slot.resize(t + 1, 0);
+        // Key k is counted at k + 1, so the prefix sum below leaves the
+        // first slot of key k at index k.
+        let in_range = order.iter().all(|&k| {
+            let fits = (k as usize) < t;
+            if fits {
+                self.key_slot[k as usize + 1] += 1;
             }
+            fits
+        });
+        self.sequence.clear();
+        if !in_range {
+            self.sequence.extend(0..t as u32);
+            self.sequence
+                .sort_unstable_by_key(|&i| (order[i as usize], i));
+            return;
         }
-        // Miss: build the child's schedule directly (never base + replay,
-        // which would cost a rebuild *and* the move application).
-        let cache = if self.pool.len() >= DELTA_POOL_CAP {
-            let mut evicted = self.pool.remove(0);
-            evicted.rebuild(self.system, self.trace, child);
-            evicted
-        } else {
-            ScheduleCache::build(self.system, self.trace, child)
-        };
-        let out = cache.outcome();
-        self.pool.push(cache);
-        out
-    }
-
-    /// Number of parent schedules currently held in the delta pool.
-    /// A freshly constructed or freshly cloned evaluator reports 0.
-    #[cfg(feature = "delta-eval")]
-    pub fn delta_pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Number of [`Evaluator::evaluate_delta`] calls on this instance that
-    /// were served incrementally from the schedule pool. Always 0 unless
-    /// built with the `eval-counters` feature.
-    pub fn delta_hits(&self) -> u64 {
-        #[cfg(feature = "eval-counters")]
-        {
-            self.delta_hits
+        for k in 1..t {
+            self.key_slot[k] += self.key_slot[k - 1];
         }
-        #[cfg(not(feature = "eval-counters"))]
-        {
-            0
+        self.sequence.resize(t, 0);
+        for (i, &k) in order.iter().enumerate() {
+            let slot = &mut self.key_slot[k as usize];
+            self.sequence[*slot as usize] = i as u32;
+            *slot += 1;
         }
     }
 
@@ -566,48 +457,6 @@ mod tests {
         assert_eq!(clone.evaluations(), 7);
         ev.reset_evaluations();
         assert_eq!(ev.evaluations(), 0);
-    }
-
-    #[cfg(feature = "delta-eval")]
-    #[test]
-    fn clone_has_empty_pool_but_identical_outcomes() {
-        let (sys, trace) = setup(60);
-        let mut ev = Evaluator::new(&sys, &trace);
-        let mut rng = StdRng::seed_from_u64(77);
-        // Warm the pool with a handful of delta evaluations.
-        let mut base = Allocation::with_arrival_order(
-            (0..60)
-                .map(|_| MachineId(rng.gen_range(0..sys.machine_count()) as u32))
-                .collect(),
-        );
-        ev.evaluate_delta(&base, &base, &[]);
-        let mut allocs = vec![base.clone()];
-        for _ in 0..8 {
-            let mut child = base.clone();
-            let g = rng.gen_range(0..60);
-            child.machine[g] = MachineId(rng.gen_range(0..sys.machine_count()) as u32);
-            let moves = [TaskMove {
-                task: g as u32,
-                machine: child.machine[g],
-                order: child.order[g],
-            }];
-            ev.evaluate_delta(&base, &child, &moves);
-            allocs.push(child.clone());
-            base = child;
-        }
-        assert!(ev.delta_pool_len() > 0, "pool should be warm");
-
-        // The clone must NOT have deep-copied the warm pool...
-        let mut clone = ev.clone();
-        assert_eq!(clone.delta_pool_len(), 0, "clone must start cold");
-        // ...yet every outcome must match the warm original bit for bit.
-        for a in &allocs {
-            let warm = ev.evaluate(a);
-            let cold = clone.evaluate(a);
-            assert_eq!(warm.utility.to_bits(), cold.utility.to_bits());
-            assert_eq!(warm.energy.to_bits(), cold.energy.to_bits());
-            assert_eq!(warm.makespan.to_bits(), cold.makespan.to_bits());
-        }
     }
 
     #[test]

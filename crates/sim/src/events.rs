@@ -79,7 +79,12 @@ pub fn evaluate_event_driven(
             }));
         }
     }
-    let (mut utility, mut energy, mut makespan) = (0.0, 0.0, 0.0f64);
+    // Utility and energy fold per machine in dispatch order, then sum in
+    // machine-index order: float addition is not associative, and this is
+    // the order the sweep uses, so the two agree bit for bit.
+    let mut machine_util = vec![0.0; system.machine_count()];
+    let mut machine_energy = vec![0.0; system.machine_count()];
+    let mut makespan = 0.0f64;
     while let Some(Reverse(FreeEvent { time, machine })) = events.pop() {
         let queue = &mut queues[machine as usize];
         let Some(i) = queue.pop_front() else {
@@ -90,8 +95,8 @@ pub fn evaluate_event_driven(
         debug_assert_eq!(m.index(), machine as usize);
         let start = time.max(task.arrival);
         let finish = start + system.exec_time(task.task_type, m);
-        utility += task.tuf.utility(finish - task.arrival);
-        energy += system.energy(task.task_type, m);
+        machine_util[m.index()] += task.tuf.utility(finish - task.arrival);
+        machine_energy[m.index()] += system.energy(task.task_type, m);
         makespan = makespan.max(finish);
         if !queue.is_empty() {
             events.push(Reverse(FreeEvent {
@@ -101,8 +106,8 @@ pub fn evaluate_event_driven(
         }
     }
     Ok(Outcome {
-        utility,
-        energy,
+        utility: machine_util.iter().fold(0.0, |sum, u| sum + u),
+        energy: machine_energy.iter().fold(0.0, |sum, e| sum + e),
         makespan,
     })
 }

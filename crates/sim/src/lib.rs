@@ -12,7 +12,6 @@
 
 pub mod allocation;
 pub mod batch;
-pub mod delta;
 pub mod detail;
 pub mod dvfs;
 pub mod evaluator;
@@ -21,9 +20,8 @@ pub mod gantt;
 pub mod horizon;
 pub mod online;
 
-pub use allocation::Allocation;
+pub use allocation::{Allocation, TaskMove};
 pub use batch::{BatchEvaluator, BatchJob};
-pub use delta::{genome_fingerprint, DeltaEval, ScheduleCache, TaskMove};
 pub use detail::{DetailedOutcome, TaskRecord};
 pub use dvfs::{DvfsAllocation, DvfsTable, PState};
 #[cfg(feature = "eval-counters")]

@@ -1,21 +1,17 @@
-//! Differential tests for the incremental (delta) evaluation path.
+//! Differential tests for tracked variation and batched evaluation.
 //!
 //! Strategy: a problem small enough to brute-force — 5 tasks on a
 //! 3-machine subset of the real dataset, 3^5 assignments x 5! global
 //! orders — gives the *true* Pareto front by enumeration. Each engine
 //! (NSGA-II, MOEA/D, SPEA2) is then run twice from the same seed: once on
-//! the tracked [`AllocationProblem`] (move-tracked operators, skip +
-//! delta-evaluation fast paths) and once on a `FullEval` wrapper that
-//! delegates the same genetic operators but keeps the default untracked
-//! `Problem` methods, forcing every child through the reference
+//! the tracked [`AllocationProblem`] (move-tracked operators and the
+//! skip of children identical to their base) and once on a `FullEval`
+//! wrapper that delegates the same genetic operators but keeps the
+//! default untracked `Problem` methods, forcing every child through the
 //! evaluator. The two runs must produce bit-identical populations and
 //! identical per-generation observer traces (hypervolume, ideal corner,
 //! evaluation counts), and every front point must be on the enumerated
 //! true front.
-//!
-//! The whole suite runs with and without the `delta-eval` cargo feature
-//! (CI covers both); the wrapper-vs-tracked comparison is meaningful in
-//! both configurations because the skip path is engine-level.
 
 use hetsched::alloc::AllocationProblem;
 use hetsched::core::{JournalObserver, RunJournal};
@@ -569,14 +565,7 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                 jobs_spec.push(0);
                 fi += 1;
             } else {
-                let (child, moves) = &deltas[di];
-                #[cfg(feature = "delta-eval")]
-                let o = reference.evaluate_delta(&base, child, moves);
-                #[cfg(not(feature = "delta-eval"))]
-                let o = {
-                    let _ = moves;
-                    reference.evaluate(child)
-                };
+                let o = reference.evaluate(&deltas[di].0);
                 expected.push(Some((
                     o.utility.to_bits(),
                     o.energy.to_bits(),
@@ -603,21 +592,9 @@ fn batch_evaluator_matches_single_shot_on_real_and_synthetic_systems() {
                         job
                     }
                     1 => {
-                        let (child, moves) = &deltas[di];
+                        let job = BatchJob::Full(&deltas[di].0);
                         di += 1;
-                        #[cfg(feature = "delta-eval")]
-                        {
-                            BatchJob::Delta {
-                                base: &base,
-                                child,
-                                moves,
-                            }
-                        }
-                        #[cfg(not(feature = "delta-eval"))]
-                        {
-                            let _ = moves;
-                            BatchJob::Full(child)
-                        }
+                        job
                     }
                     _ => BatchJob::Skip,
                 })

@@ -59,9 +59,8 @@ fn run_journal_renders_byte_identically() {
 
 /// A fixed-seed NSGA-II run on the real dataset, hypervolume trace frozen
 /// as bit patterns. This is the canary for the evaluation pipeline: the
-/// delta fast path, the reference evaluator, and the hypervolume
-/// computation must all produce the exact same floats as at freeze time,
-/// with the `delta-eval` feature on or off.
+/// evaluator's sequence build and sweep and the hypervolume computation
+/// must produce the exact same floats as at freeze time.
 #[test]
 fn hypervolume_trace_is_frozen() {
     let sys = real_system();
