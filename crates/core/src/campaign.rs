@@ -25,8 +25,8 @@
 //! * **quarantine** — a cell that exhausts its budget is recorded as
 //!   [`CellOutcome::Poisoned`] and, on resume, *not* re-executed unless
 //!   [`Campaign::requeue_quarantined`] says so;
-//! * **durability** — each manifest append is flushed and fsynced (in
-//!   configurable batches), and a panic while holding the manifest lock
+//! * **durability** — each manifest append is fsynced before the cell
+//!   counts as checkpointed, and a panic while holding the manifest lock
 //!   cannot disable checkpointing for the surviving cells;
 //! * **cooperative cancellation** — a [`CancelToken`] stops new cells
 //!   from starting (in-flight cells finish and are checkpointed);
@@ -35,7 +35,8 @@
 //! * **resume** — the manifest begins with a fingerprint of the
 //!   [`CampaignSpec`]; resuming with a different spec is rejected rather
 //!   than silently mixing incompatible cells, and a torn final line
-//!   (killed mid-write) is ignored.
+//!   (killed mid-write) is ignored and terminated before new records
+//!   are appended.
 //!
 //! The `chaos` feature threads deterministic fault points through this
 //! module (`campaign.cell.run`, `manifest.append`) so every one of these
@@ -460,7 +461,6 @@ pub struct Campaign {
     backoff_cap: Duration,
     backoff_seed: u64,
     requeue_quarantined: bool,
-    manifest_sync_every: usize,
     cancel: CancelToken,
     fault: Option<Arc<FaultHook>>,
     observer: Arc<dyn CampaignObserver>,
@@ -470,8 +470,7 @@ impl Campaign {
     /// A campaign over `spec` with default resilience settings: 2
     /// attempts per cell, 25ms-base/1s-cap retry backoff seeded off the
     /// spec fingerprint, no cell timeout, no deadline, quarantine
-    /// honoured on resume, per-record manifest fsync, a fresh cancel
-    /// token, no telemetry.
+    /// honoured on resume, a fresh cancel token, no telemetry.
     pub fn new(spec: CampaignSpec) -> Self {
         let backoff_seed = fnv1a(spec.fingerprint().as_bytes());
         Campaign {
@@ -483,7 +482,6 @@ impl Campaign {
             backoff_cap: Duration::from_secs(1),
             backoff_seed,
             requeue_quarantined: false,
-            manifest_sync_every: 1,
             cancel: CancelToken::new(),
             fault: None,
             observer: Arc::new(NullCampaignObserver),
@@ -546,15 +544,6 @@ impl Campaign {
         self
     }
 
-    /// Fsyncs the manifest after every `every` appended records (min 1,
-    /// the default). Raising it trades a bounded window of re-executable
-    /// cells after a power loss for fewer fsyncs on large grids; the
-    /// campaign always fsyncs once more when the grid drains.
-    pub fn manifest_sync_every(mut self, every: usize) -> Self {
-        self.manifest_sync_every = every.max(1);
-        self
-    }
-
     /// Uses an external cancel token (e.g. shared with a signal handler).
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
@@ -574,11 +563,6 @@ impl Campaign {
     /// Whether quarantined records are requeued on resume.
     pub(crate) fn requeues_quarantined(&self) -> bool {
         self.requeue_quarantined
-    }
-
-    /// The manifest fsync batching window.
-    pub(crate) fn sync_every(&self) -> usize {
-        self.manifest_sync_every
     }
 
     /// Attaches a [`CampaignObserver`] receiving cell lifecycle events
@@ -622,15 +606,19 @@ impl Campaign {
         let sink = match manifest {
             Some(path) => {
                 if path.exists() {
-                    for record in read_manifest(path, &fingerprint)? {
-                        known.insert(record.cell, record);
+                    if let Some((owner, records)) = load_manifest_records(path)? {
+                        if owner != fingerprint {
+                            return Err(CoreError::Manifest(format!(
+                                "manifest belongs to campaign {owner} but this campaign is \
+                                 {fingerprint}; refusing to mix cells"
+                            )));
+                        }
+                        for record in replay_records(&records).cells {
+                            known.insert(record.cell, record);
+                        }
                     }
                 }
-                Some(LocalManifestStore::open(
-                    path,
-                    &fingerprint,
-                    self.manifest_sync_every,
-                )?)
+                Some(LocalManifestStore::open(path, &fingerprint)?)
             }
             None => None,
         };
@@ -744,14 +732,6 @@ impl Campaign {
                 Some(record)
             })
             .collect();
-
-        if let Some(sink) = &sink {
-            // Drain the batched-fsync window so every record written this
-            // invocation is durable before we report the outcome.
-            if let Err(e) = sink.sync() {
-                tracing::warn!("manifest final sync failed: {e}");
-            }
-        }
 
         let executed = results.iter().flatten().count();
         let skipped: Vec<CellId> = missing
@@ -1099,47 +1079,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Replays a manifest: checks the header fingerprint, then parses and
-/// merges records. A torn final line (the process was killed mid-write)
-/// is tolerated; a torn or alien *header* is not.
-fn read_manifest(path: &Path, fingerprint: &str) -> Result<Vec<CellRecord>> {
-    match load_manifest(path)? {
-        None => Ok(Vec::new()), // empty file: fresh manifest
-        Some((owner, records)) => {
-            if owner != fingerprint {
-                return Err(CoreError::Manifest(format!(
-                    "manifest belongs to campaign {owner} but this campaign is {fingerprint}; \
-                     refusing to mix cells"
-                )));
-            }
-            Ok(records)
-        }
-    }
-}
-
-/// Reads a campaign manifest back without knowing its spec: returns the
-/// owning campaign's fingerprint and the *surviving* cell records (lease
-/// fencing applied — a stale worker's late append is dropped), or `None`
-/// for an empty file. Post-hoc inspection tooling (`hetsched report`)
-/// uses this directly, and resume layers a fingerprint check on top.
-///
-/// This is a convenience wrapper over
-/// [`crate::manifest::load_manifest_records`] +
-/// [`crate::manifest::replay_records`] for callers that only want the
-/// merged cell view; callers that also need lease state (who holds what,
-/// steal/fence counts) should use those directly.
-///
-/// # Errors
-///
-/// I/O failures, a corrupt or torn header, or an unsupported manifest
-/// version (older than v3 or newer than v4).
-pub fn load_manifest(path: &Path) -> Result<Option<(String, Vec<CellRecord>)>> {
-    match load_manifest_records(path)? {
-        None => Ok(None),
-        Some((owner, records)) => Ok(Some((owner, replay_records(&records).cells))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1368,11 +1307,17 @@ mod tests {
         assert!(!truncated.ends_with('\n'));
         std::fs::write(&path, truncated).unwrap();
 
-        let resumed = Campaign::new(spec).run(Some(&path)).unwrap();
-        let _ = std::fs::remove_file(&path);
+        let resumed = Campaign::new(spec.clone()).run(Some(&path)).unwrap();
         assert!(resumed.is_complete());
         assert_eq!(resumed.executed, 1, "exactly the torn cell re-runs");
         assert_eq!(resumed.reports, full.reports);
+
+        // The re-run cell's record landed on a line of its own, so the
+        // next resume replays everything.
+        let again = Campaign::new(spec).run(Some(&path)).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(again.executed, 0, "the torn cell re-ran on every resume");
+        assert_eq!(again.reports, full.reports);
     }
 
     #[test]
@@ -1424,7 +1369,10 @@ mod tests {
         let path = temp_manifest("duration");
         let _ = std::fs::remove_file(&path);
         Campaign::new(spec).run(Some(&path)).unwrap();
-        let (_, records) = load_manifest(&path).unwrap().expect("non-empty manifest");
+        let (_, records) = load_manifest_records(&path)
+            .unwrap()
+            .expect("non-empty manifest");
+        let records = replay_records(&records).cells;
         let _ = std::fs::remove_file(&path);
         assert_eq!(records.len(), 2);
         assert!(records.iter().all(|r| r.duration_s > 0.0));
@@ -1453,11 +1401,11 @@ mod tests {
     }
 
     #[test]
-    fn load_manifest_rejects_corrupt_header_and_old_versions() {
+    fn manifest_loading_rejects_corrupt_header_and_old_versions() {
         let path = temp_manifest("badheader");
 
         std::fs::write(&path, "{not json at all\n").unwrap();
-        let err = load_manifest(&path).unwrap_err();
+        let err = load_manifest_records(&path).unwrap_err();
         assert!(
             matches!(&err, CoreError::Manifest(m) if m.contains("corrupt manifest header")),
             "got {err:?}"
@@ -1466,7 +1414,7 @@ mod tests {
         // A v2 manifest (pre-`outcome` records) must be refused up front,
         // not half-parsed.
         std::fs::write(&path, "{\"fingerprint\":\"deadbeef\",\"version\":2}\n").unwrap();
-        let err = load_manifest(&path).unwrap_err();
+        let err = load_manifest_records(&path).unwrap_err();
         assert!(
             matches!(&err, CoreError::Manifest(m) if m.contains("version 2 unsupported")),
             "got {err:?}"
@@ -1500,7 +1448,10 @@ mod tests {
             format!("{{\"fingerprint\":\"cafe0000cafe0000\",\"version\":3}}\n{line}\n"),
         )
         .unwrap();
-        let (owner, records) = load_manifest(&path).unwrap().expect("v3 manifest loads");
+        let (owner, records) = load_manifest_records(&path)
+            .unwrap()
+            .expect("v3 manifest loads");
+        let records = replay_records(&records).cells;
         let _ = std::fs::remove_file(&path);
         assert_eq!(owner, "cafe0000cafe0000");
         assert_eq!(records, vec![record]);
@@ -1509,18 +1460,24 @@ mod tests {
     }
 
     #[test]
-    fn load_manifest_handles_empty_and_header_only_files() {
+    fn manifest_loading_handles_empty_and_header_only_files() {
         let path = temp_manifest("headeronly");
 
         std::fs::write(&path, "").unwrap();
-        assert_eq!(load_manifest(&path).unwrap(), None, "empty file is fresh");
+        assert_eq!(
+            load_manifest_records(&path).unwrap(),
+            None,
+            "empty file is fresh"
+        );
 
         let header = format!(
             "{{\"fingerprint\":\"cafe0000cafe0000\",\"version\":{}}}\n",
             crate::manifest::MANIFEST_VERSION
         );
         std::fs::write(&path, header).unwrap();
-        let (owner, records) = load_manifest(&path).unwrap().expect("header parses");
+        let (owner, records) = load_manifest_records(&path)
+            .unwrap()
+            .expect("header parses");
         assert_eq!(owner, "cafe0000cafe0000");
         assert!(records.is_empty(), "header-only file has no records");
         let _ = std::fs::remove_file(&path);

@@ -189,11 +189,6 @@ impl Framework {
                 }
             })
             .collect();
-        if let Some(journal) = journal {
-            if let Err(e) = journal.flush() {
-                tracing::warn!("journal flush failed: {e}");
-            }
-        }
         AnalysisReport {
             runs,
             snapshots: self.config.snapshots.clone(),

@@ -8,7 +8,7 @@
 //! * a **run journal** ([`RunJournal`]) has the full per-generation
 //!   trajectory, so its summaries carry exact hypervolume convergence,
 //!   evaluation totals, and the phase-time breakdown;
-//! * a **campaign manifest** ([`load_manifest`]) has each cell's
+//! * a **campaign manifest** ([`load_manifest_records`]) has each cell's
 //!   snapshot fronts and retry/duration bookkeeping, so its summaries
 //!   carry per-cell status plus convergence at snapshot resolution
 //!   (hypervolume recomputed against a reference shared by every cell,
@@ -18,6 +18,7 @@
 
 use crate::campaign::{CellOutcome, CellRecord};
 use crate::journal::{JournalRecord, RunJournal};
+use crate::jsonl;
 use crate::manifest::{load_manifest_records, replay_records, ManifestView};
 use crate::{CoreError, Result};
 use hetsched_moea::observe::GenerationStats;
@@ -328,12 +329,8 @@ pub enum Inspection {
 ///
 /// I/O failures, or a file that parses as neither artifact.
 pub fn inspect_path(path: &Path) -> Result<Inspection> {
-    let first_line = std::fs::read_to_string(path)
-        .map_err(|e| CoreError::Io(format!("read {}: {e}", path.display())))?
-        .lines()
-        .next()
-        .unwrap_or_default()
-        .to_string();
+    let first_line = jsonl::first_line(path)
+        .map_err(|e| CoreError::Io(format!("read {}: {e}", path.display())))?;
     if first_line.contains("\"fingerprint\"") {
         let (fingerprint, records) = load_manifest_records(path)?.ok_or_else(|| {
             CoreError::Manifest(format!("{} is an empty manifest", path.display()))

@@ -2,23 +2,19 @@
 //! JSON Lines — one [`JournalRecord`] per generation per population.
 //!
 //! The journal is shared across the populations a [`Framework`] run
-//! executes in parallel, so appends go through a mutex; each record is
-//! written as a single line, keeping concurrent writers from interleaving
-//! within a record.
+//! executes in parallel; it is a `jsonl` log, so each record
+//! lands as one whole line and is flushed as it is written.
 //!
 //! [`Framework`]: crate::Framework
 
-use crate::chaos_hooks;
-use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, Log, Record};
 use hetsched_heuristics::SeedKind;
 use hetsched_moea::observe::{GenerationStats, Observer};
 use hetsched_moea::Individual;
 use hetsched_sim::Allocation;
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// One journal line: which population produced the generation, plus the
 /// engine's metrics record.
@@ -32,94 +28,59 @@ pub struct JournalRecord {
     pub stats: GenerationStats,
 }
 
+impl Record for JournalRecord {
+    const FAULT_POINT: Option<&'static str> = Some("journal.write");
+
+    fn fault_scope(&self) -> &dyn std::fmt::Display {
+        &self.stream
+    }
+}
+
 /// A JSONL sink for [`JournalRecord`]s, safe to share across the
 /// framework's parallel population runs.
 pub struct RunJournal {
-    sink: Mutex<Box<dyn Write + Send>>,
+    log: Log<JournalRecord>,
 }
 
 impl RunJournal {
-    /// Opens (truncating) a journal file, buffered.
+    /// Creates (truncating) a journal file.
     ///
     /// # Errors
     ///
     /// File creation failures.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(RunJournal::to_writer(BufWriter::new(file)))
+        Ok(RunJournal {
+            log: Log::create(path.as_ref())?,
+        })
     }
 
     /// Wraps any writer — handy for tests and in-memory capture.
     pub fn to_writer(writer: impl Write + Send + 'static) -> Self {
         RunJournal {
-            sink: Mutex::new(Box::new(writer)),
+            log: Log::to_writer(writer),
         }
     }
 
     /// Appends one record as a JSON line and flushes it, so a killed run
-    /// loses at most the line being written — the same torn-tail
-    /// discipline as the campaign manifest.
+    /// loses at most the line being written.
     ///
     /// # Errors
     ///
     /// Serialisation or write failures.
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        // Poison-recovering lock: a panicking writer leaves at worst a
-        // torn tail line, which the reader tolerates — the journal keeps
-        // accepting records from the surviving populations.
-        let mut sink = lock_unpoisoned(&self.sink);
-        chaos_hooks::raise_io("journal.write", &record.stream)?;
-        writeln!(sink, "{line}")?;
-        sink.flush()
-    }
-
-    /// Flushes the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Write failures.
-    pub fn flush(&self) -> io::Result<()> {
-        lock_unpoisoned(&self.sink).flush()
+        self.log.append(record)
     }
 
     /// Reads a journal file back. A torn final line (the process was
-    /// killed mid-write) is dropped, matching the append-side discipline;
-    /// any *earlier* unparseable line is an error, since the file is
-    /// then corrupt rather than merely truncated.
+    /// killed mid-write) is dropped; any *earlier* unparseable line is an
+    /// error, since the file is then corrupt rather than merely
+    /// truncated.
     ///
     /// # Errors
     ///
     /// I/O failures, or a malformed line that is not the last.
     pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<JournalRecord>> {
-        let file = File::open(path)?;
-        let mut records = Vec::new();
-        let mut torn = false;
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            if torn {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "journal has records after a torn line",
-                ));
-            }
-            match serde_json::from_str::<JournalRecord>(&line) {
-                Ok(record) => records.push(record),
-                Err(_) => torn = true,
-            }
-        }
-        Ok(records)
-    }
-}
-
-impl Drop for RunJournal {
-    fn drop(&mut self) {
-        // A best-effort final flush; append already flushes per line, so
-        // this only matters for writers that buffer internally.
-        if let Err(e) = lock_unpoisoned(&self.sink).flush() {
-            tracing::warn!("journal flush on drop failed: {e}");
-        }
+        Ok(jsonl::read(path.as_ref())?.records)
     }
 }
 
@@ -213,7 +174,6 @@ mod tests {
         for generation in 1..=3 {
             journal.append(&record(generation)).unwrap();
         }
-        journal.flush().unwrap();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -240,28 +200,10 @@ mod tests {
             for r in &written {
                 journal.append(r).unwrap();
             }
-        } // drop flushes
+        }
         let read = RunJournal::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(read, written);
-    }
-
-    #[test]
-    fn torn_final_line_is_dropped_on_read() {
-        let path = std::env::temp_dir().join(format!(
-            "hetsched-journal-torn-{}.jsonl",
-            std::process::id()
-        ));
-        {
-            let journal = RunJournal::create(&path).unwrap();
-            journal.append(&record(1)).unwrap();
-            journal.append(&record(2)).unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 9]).unwrap();
-        let read = RunJournal::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(read, vec![record(1)]);
     }
 
     /// A writer that fails every operation, for the error path.
@@ -277,12 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn append_surfaces_write_errors_and_drop_does_not_panic() {
+    fn append_surfaces_write_errors() {
         let journal = RunJournal::to_writer(BrokenWriter);
         let err = journal.append(&record(1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Other);
-        assert!(journal.flush().is_err());
-        drop(journal); // Drop swallows the flush failure (warns via tracing)
     }
 
     #[test]
@@ -299,7 +239,6 @@ mod tests {
                 });
             }
         });
-        journal.flush().unwrap();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 200);

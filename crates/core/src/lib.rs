@@ -28,6 +28,7 @@ pub mod figures;
 pub mod framework;
 pub mod inspect;
 pub mod journal;
+mod jsonl;
 pub mod lease;
 pub mod manifest;
 pub mod report;
@@ -72,8 +73,8 @@ pub(crate) mod chaos_hooks {
 }
 
 pub use campaign::{
-    load_manifest, Campaign, CampaignOutcome, CampaignReport, CampaignSpec, CampaignSpecBuilder,
-    CancelToken, CellId, CellOutcome, CellRecord,
+    Campaign, CampaignOutcome, CampaignReport, CampaignSpec, CampaignSpecBuilder, CancelToken,
+    CellId, CellOutcome, CellRecord,
 };
 pub use config::{DatasetId, ExperimentConfig, ExperimentConfigBuilder};
 pub use durable::durable_write;

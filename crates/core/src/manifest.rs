@@ -9,9 +9,10 @@
 //! next. This module owns the format (header, version, interleaved
 //! record kinds, torn-line tolerance) and its concurrency story:
 //!
-//! * **append** — one whole line per record. The local store writes
-//!   through an `O_APPEND` handle and flushes each record in a single
-//!   `write`, so concurrent appenders never interleave *within* a line.
+//! * **append** — one whole line per record, fsynced before the append
+//!   returns. The local store is a shared `jsonl` log: every
+//!   record goes out in a single `O_APPEND` write, so concurrent
+//!   appenders never interleave *within* a line.
 //! * **tail** — read the log back as raw [`ManifestRecord`]s. Lines that
 //!   fail to parse (a writer killed mid-append) are dropped with a
 //!   warning; every surviving record is self-describing, and a dropped
@@ -19,24 +20,23 @@
 //!   expires.
 //! * **lock** — a short exclusive critical section for read-decide-append
 //!   sequences (lease acquisition). The local store uses an `O_EXCL`
-//!   sidecar lockfile with stale-age takeover; taking the lock also heals
-//!   a missing trailing newline left by a writer that died mid-append,
-//!   so the next append cannot glue onto the torn line.
+//!   sidecar lockfile with stale-age takeover; taking the lock also
+//!   terminates a torn tail left by a writer that died mid-append, as
+//!   opening the store does, so the next append cannot glue onto the
+//!   torn line.
 //!
 //! Correctness never rests on the lock alone: a worker that appends
 //! without it (or after its lock was stolen) is fenced by lease epochs at
 //! merge time — see [`crate::lease`].
 
 use crate::campaign::CellRecord;
-use crate::chaos_hooks;
-use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, Log, Record};
 use crate::lease::{LeaseRecord, LEASE_KIND};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Current manifest format version. Bumped to 2 when [`CellRecord`] grew
@@ -105,6 +105,20 @@ impl<'de> Deserialize<'de> for ManifestRecord {
     }
 }
 
+impl Record for ManifestRecord {
+    const SHARED: bool = true;
+    const SYNC: bool = true;
+    const HEADER: bool = true;
+    const FAULT_POINT: Option<&'static str> = Some("manifest.append");
+
+    fn fault_scope(&self) -> &dyn std::fmt::Display {
+        match self {
+            ManifestRecord::Cell(record) => &record.cell,
+            ManifestRecord::Lease(record) => &record.cell,
+        }
+    }
+}
+
 /// Reads a manifest back as raw records, without merging or fencing:
 /// the owning fingerprint plus every parseable line in order, or `None`
 /// for an empty file. Torn lines (a writer killed mid-append) are
@@ -116,14 +130,12 @@ impl<'de> Deserialize<'de> for ManifestRecord {
 /// I/O failures, a corrupt or torn header, or an unsupported manifest
 /// version (anything other than v{3,4}).
 pub fn load_manifest_records(path: &Path) -> Result<Option<(String, Vec<ManifestRecord>)>> {
-    let file = File::open(path)
-        .map_err(|e| CoreError::Io(format!("open manifest {}: {e}", path.display())))?;
-    let mut lines = BufReader::new(file).lines();
-    let header_line = match lines.next() {
-        None => return Ok(None),
-        Some(line) => line.map_err(|e| CoreError::Io(format!("read manifest: {e}")))?,
+    let contents = jsonl::read::<ManifestRecord>(path)
+        .map_err(|e| CoreError::Io(format!("read manifest {}: {e}", path.display())))?;
+    let Some(header) = contents.header else {
+        return Ok(None);
     };
-    let header: ManifestHeader = serde_json::from_str(&header_line)
+    let header: ManifestHeader = serde_json::from_str(&header)
         .map_err(|e| CoreError::Manifest(format!("corrupt manifest header: {e}")))?;
     if header.version != MANIFEST_VERSION && header.version != COMPAT_MANIFEST_VERSION {
         return Err(CoreError::Manifest(format!(
@@ -132,26 +144,7 @@ pub fn load_manifest_records(path: &Path) -> Result<Option<(String, Vec<Manifest
             header.version
         )));
     }
-    let mut records = Vec::new();
-    let mut torn = 0usize;
-    for line in lines {
-        let line = line.map_err(|e| CoreError::Io(format!("read manifest: {e}")))?;
-        match serde_json::from_str::<ManifestRecord>(&line) {
-            Ok(record) => records.push(record),
-            // A writer died mid-append. The line identifies nothing
-            // trustworthy, so drop it; whatever it would have recorded is
-            // re-derivable (results re-execute bit-identically once the
-            // cell's lease expires).
-            Err(_) => torn += 1,
-        }
-    }
-    if torn > 0 {
-        tracing::warn!(
-            "manifest {}: dropped {torn} torn line(s) left by interrupted writer(s)",
-            path.display()
-        );
-    }
-    Ok(Some((header.fingerprint, records)))
+    Ok(Some((header.fingerprint, contents.records)))
 }
 
 /// The fencing-merged view of a manifest's records: what replay actually
@@ -231,7 +224,7 @@ impl Drop for StoreLock {
 /// behind the same campaign/worker machinery later.
 pub trait ManifestStore: Send + Sync {
     /// Appends one cell record as a whole line (atomic with respect to
-    /// concurrent appenders).
+    /// concurrent appenders), durable when the call returns.
     fn append_cell(&self, record: &CellRecord) -> std::io::Result<()>;
 
     /// Appends one lease record as a whole line.
@@ -245,114 +238,38 @@ pub trait ManifestStore: Send + Sync {
     /// section. Blocks (bounded) on contention; breaks stale locks left
     /// by dead processes.
     fn lock(&self) -> Result<StoreLock>;
-
-    /// Durability barrier: everything appended so far reaches stable
-    /// storage.
-    fn sync(&self) -> std::io::Result<()>;
 }
 
-struct SinkState {
-    writer: BufWriter<File>,
-    /// Records flushed to the OS but not yet fsynced.
-    pending: usize,
-}
-
-/// The JSONL-file manifest store: line-buffered appends behind a mutex,
-/// flushed per record so a kill loses at most the line being written,
-/// and fsynced every `sync_every` records so a power loss loses at most
-/// that window. The lock recovers from poisoning (a panicking appender
-/// leaves at worst a torn tail line, which the reader tolerates) — one
-/// bad cell must not disable checkpointing for the rest of the campaign.
+/// The JSONL-file manifest store: a shared `jsonl` log whose
+/// appends are fsynced per record, so a kill or a power loss loses at
+/// most the line being written. The log's mutex recovers from poisoning
+/// (a panicking appender leaves at worst a torn tail line, which the
+/// reader tolerates) — one bad cell must not disable checkpointing for
+/// the rest of the campaign.
 pub struct LocalManifestStore {
     path: PathBuf,
-    state: Mutex<SinkState>,
-    sync_every: usize,
+    log: Log<ManifestRecord>,
 }
 
 impl LocalManifestStore {
-    /// Opens `path` for appending, writing (and fsyncing) the fingerprint
-    /// header if the file is new or empty. `sync_every` batches fsyncs
-    /// (clamped to ≥ 1).
-    pub fn open(path: &Path, fingerprint: &str, sync_every: usize) -> Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
+    /// Opens `path` for appending, terminating a torn tail and writing
+    /// (and fsyncing) the fingerprint header if the file is new or empty.
+    pub fn open(path: &Path, fingerprint: &str) -> Result<Self> {
+        let header = ManifestHeader {
+            fingerprint: fingerprint.to_string(),
+            version: MANIFEST_VERSION,
+        };
+        let log = Log::open_with_header(path, &header)
             .map_err(|e| CoreError::Io(format!("open manifest {}: {e}", path.display())))?;
-        let fresh = file
-            .metadata()
-            .map(|m| m.len() == 0)
-            .map_err(|e| CoreError::Io(format!("stat manifest {}: {e}", path.display())))?;
-        let mut writer = BufWriter::new(file);
-        if fresh {
-            let header = ManifestHeader {
-                fingerprint: fingerprint.to_string(),
-                version: MANIFEST_VERSION,
-            };
-            writeln!(
-                writer,
-                "{}",
-                serde_json::to_string(&header).expect("header serialises")
-            )
-            .and_then(|()| writer.flush())
-            .and_then(|()| writer.get_ref().sync_data())
-            .map_err(|e| CoreError::Io(format!("write manifest header: {e}")))?;
-        }
         Ok(LocalManifestStore {
             path: path.to_path_buf(),
-            state: Mutex::new(SinkState { writer, pending: 0 }),
-            sync_every: sync_every.max(1),
+            log,
         })
     }
 
     /// The manifest file this store appends to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    fn append_line(&self, line: &str, scope: &dyn std::fmt::Display) -> std::io::Result<()> {
-        let mut state = lock_unpoisoned(&self.state);
-        // The fault point sits inside the critical section so an injected
-        // panic genuinely poisons the mutex — the scenario the poisoning
-        // recovery exists for.
-        chaos_hooks::raise_io("manifest.append", scope)?;
-        writeln!(state.writer, "{line}")?;
-        state.writer.flush()?;
-        state.pending += 1;
-        if state.pending >= self.sync_every {
-            state.writer.get_ref().sync_data()?;
-            state.pending = 0;
-        }
-        Ok(())
-    }
-
-    /// Appends a trailing newline if a dead writer left the file ending
-    /// mid-line, so the next append starts on a line of its own (the
-    /// garbage line then fails to parse alone instead of swallowing a
-    /// good record). Called with the store lock held.
-    fn heal_torn_tail(&self) -> std::io::Result<()> {
-        let mut file = match File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        if len == 0 {
-            return Ok(());
-        }
-        file.seek(SeekFrom::End(-1))?;
-        let mut last = [0u8; 1];
-        file.read_exact(&mut last)?;
-        if last[0] != b'\n' {
-            tracing::warn!(
-                "manifest {}: healing torn tail left by an interrupted writer",
-                self.path.display()
-            );
-            let mut state = lock_unpoisoned(&self.state);
-            state.writer.write_all(b"\n")?;
-            state.writer.flush()?;
-        }
-        Ok(())
     }
 
     fn lock_path(&self) -> PathBuf {
@@ -367,15 +284,11 @@ impl LocalManifestStore {
 
 impl ManifestStore for LocalManifestStore {
     fn append_cell(&self, record: &CellRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append_line(&line, &record.cell)
+        self.log.append(&ManifestRecord::Cell(record.clone()))
     }
 
     fn append_lease(&self, record: &LeaseRecord) -> std::io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append_line(&line, &record.cell)
+        self.log.append(&ManifestRecord::Lease(record.clone()))
     }
 
     fn tail(&self) -> Result<Option<(String, Vec<ManifestRecord>)>> {
@@ -396,7 +309,8 @@ impl ManifestStore for LocalManifestStore {
                     let guard = StoreLock {
                         path: Some(lock_path),
                     };
-                    self.heal_torn_tail()
+                    self.log
+                        .repair_tail()
                         .map_err(|e| CoreError::Io(format!("heal manifest tail: {e}")))?;
                     return Ok(guard);
                 }
@@ -431,14 +345,6 @@ impl ManifestStore for LocalManifestStore {
                 }
             }
         }
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        let mut state = lock_unpoisoned(&self.state);
-        state.writer.flush()?;
-        state.writer.get_ref().sync_data()?;
-        state.pending = 0;
-        Ok(())
     }
 }
 
@@ -485,7 +391,7 @@ mod tests {
     fn store_appends_both_record_kinds_and_tails_them_back() {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let store = LocalManifestStore::open(&path, "cafe", 1).unwrap();
+        let store = LocalManifestStore::open(&path, "cafe").unwrap();
         store
             .append_cell(&cell_record(0, Some("w1"), Some(1)))
             .unwrap();
@@ -498,7 +404,6 @@ mod tests {
                 9.0,
             ))
             .unwrap();
-        store.sync().unwrap();
         let (owner, records) = store.tail().unwrap().unwrap();
         assert_eq!(owner, "cafe");
         assert_eq!(records.len(), 2);
@@ -513,7 +418,7 @@ mod tests {
     fn lock_is_exclusive_heals_torn_tails_and_breaks_stale_locks() {
         let path = temp_path("lock");
         let _ = std::fs::remove_file(&path);
-        let store = LocalManifestStore::open(&path, "cafe", 1).unwrap();
+        let store = LocalManifestStore::open(&path, "cafe").unwrap();
         // Simulate a writer killed mid-append: bytes with no newline.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -575,20 +480,19 @@ mod tests {
 
         let path = temp_path("poison");
         let _ = std::fs::remove_file(&path);
-        let store = LocalManifestStore::open(&path, "feedface00000000", 1).unwrap();
+        let store = LocalManifestStore::open(&path, "feedface00000000").unwrap();
 
         // Poison the store's mutex the way a panicking appender would.
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = store.state.lock().unwrap();
+            let _guard = store.log.mutex().lock().unwrap();
             panic!("injected panic while holding the manifest lock");
         }));
         assert!(caught.is_err());
-        assert!(store.state.is_poisoned());
+        assert!(store.log.mutex().is_poisoned());
 
         // Checkpointing keeps working for the surviving cells.
         let record = cell_record(0, None, None);
         store.append_cell(&record).unwrap();
-        store.sync().unwrap();
         let (_, records) = store.tail().unwrap().unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(records, vec![ManifestRecord::Cell(record)]);

@@ -22,6 +22,7 @@
 //! never perturbing tick 0's.
 
 use crate::journal::{JournalObserver, RunJournal};
+use crate::jsonl::{self, Log, Record};
 use crate::{Error, Result};
 use hetsched_alloc::AllocationProblem;
 use hetsched_analysis::{knee_point, ParetoFront};
@@ -34,10 +35,8 @@ use hetsched_sim::{
     PolicyReoptimizer, Reoptimize, SimError,
 };
 use hetsched_workload::{ArrivalStream, Task, Trace};
-use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
+use std::path::Path;
 
 /// Engine seed mixing constants. `GOLDEN` matches the framework's
 /// population-stream decorrelation; `TICK_MIX` is an independent odd
@@ -352,55 +351,49 @@ pub struct StreamHeader {
 pub const STREAM_MANIFEST_SCHEMA: &str = "hetsched.stream-manifest.v1";
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FeedLine {
+pub(crate) struct FeedLine {
     kind: String,
     until: f64,
     tasks: Vec<Task>,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CommitLine {
+pub(crate) struct CommitLine {
     kind: String,
     record: HorizonRecord,
 }
 
-enum ManifestLine {
-    Header(Box<StreamHeader>),
+/// One stream manifest line after the header: a feed or a commit, told
+/// apart by its `kind`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum StreamLine {
     Feed(FeedLine),
     Commit(CommitLine),
 }
 
-fn parse_line(line: &str) -> std::result::Result<ManifestLine, String> {
-    if let Ok(h) = serde_json::from_str::<StreamHeader>(line) {
-        if h.schema == STREAM_MANIFEST_SCHEMA {
-            return Ok(ManifestLine::Header(Box::new(h)));
-        }
-        return Err(format!("unknown stream manifest schema {:?}", h.schema));
-    }
-    if let Ok(f) = serde_json::from_str::<FeedLine>(line) {
-        if f.kind == "feed" {
-            return Ok(ManifestLine::Feed(f));
+impl Serialize for StreamLine {
+    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
+        match self {
+            StreamLine::Feed(line) => line.serialize(serializer),
+            StreamLine::Commit(line) => line.serialize(serializer),
         }
     }
-    if let Ok(c) = serde_json::from_str::<CommitLine>(line) {
-        if c.kind == "commit" {
-            return Ok(ManifestLine::Commit(c));
-        }
-    }
-    Err("unparseable stream manifest line".to_string())
 }
 
-struct ManifestFile {
-    path: PathBuf,
-    file: File,
+impl<'de> Deserialize<'de> for StreamLine {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        let value = deserializer.take_value()?;
+        match value.get("kind").and_then(Value::as_str) {
+            Some("feed") => serde::from_value(value).map(StreamLine::Feed),
+            Some("commit") => serde::from_value(value).map(StreamLine::Commit),
+            _ => return Err(serde::de::Error::custom("unknown stream manifest line")),
+        }
+        .map_err(serde::de::Error::custom)
+    }
 }
 
-impl ManifestFile {
-    fn append(&mut self, line: &str) -> Result<()> {
-        writeln!(self.file, "{line}")
-            .and_then(|()| self.file.flush())
-            .map_err(|e| Error::Io(format!("stream manifest {}: {e}", self.path.display())))
-    }
+impl Record for StreamLine {
+    const HEADER: bool = true;
 }
 
 /// Drives one stream end to end: feeds arrivals into a
@@ -415,7 +408,7 @@ pub struct StreamRunner {
     config: StreamConfig,
     scheduler: HorizonScheduler,
     reopt: StreamReoptimizer,
-    manifest: Option<ManifestFile>,
+    manifest: Option<Log<StreamLine>>,
     fed_until: f64,
 }
 
@@ -459,42 +452,37 @@ impl StreamRunner {
         let path = path.as_ref();
         let mut runner = StreamRunner::new(system, config)?;
         let expected = runner.header();
-        let existing = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => {
-                return Err(Error::Io(format!(
-                    "stream manifest {}: {e}",
-                    path.display()
-                )))
-            }
+        let io_error = |e: std::io::Error| match e.kind() {
+            std::io::ErrorKind::InvalidData => Error::Manifest(e.to_string()),
+            _ => Error::Io(format!("stream manifest {}: {e}", path.display())),
         };
-        let lines: Vec<&str> = existing.lines().filter(|l| !l.trim().is_empty()).collect();
-        let fresh = lines.is_empty();
-        for (idx, line) in lines.iter().enumerate() {
-            let torn_ok = idx + 1 == lines.len();
-            match parse_line(line) {
-                Ok(ManifestLine::Header(h)) if idx == 0 => {
-                    if *h != expected {
-                        return Err(Error::Manifest(format!(
-                            "stream manifest {} was written under a different configuration",
-                            path.display()
-                        )));
-                    }
-                }
-                Ok(ManifestLine::Header(_)) => {
-                    return Err(Error::Manifest("unexpected second stream header".into()))
-                }
-                Ok(_) if idx == 0 => {
-                    return Err(Error::Manifest(
-                        "stream manifest is missing its header".into(),
-                    ))
-                }
-                Ok(ManifestLine::Feed(f)) => {
+        // Opening first cuts a torn tail, so the replay below covers
+        // exactly the lines later appends extend.
+        let log = Log::open_with_header(path, &expected).map_err(io_error)?;
+        let contents = jsonl::read::<StreamLine>(path).map_err(io_error)?;
+        let header: StreamHeader = contents
+            .header
+            .and_then(|line| serde_json::from_str(&line).ok())
+            .ok_or_else(|| Error::Manifest("stream manifest is missing its header".into()))?;
+        if header.schema != STREAM_MANIFEST_SCHEMA {
+            return Err(Error::Manifest(format!(
+                "unknown stream manifest schema {:?}",
+                header.schema
+            )));
+        }
+        if header != expected {
+            return Err(Error::Manifest(format!(
+                "stream manifest {} was written under a different configuration",
+                path.display()
+            )));
+        }
+        for line in contents.records {
+            match line {
+                StreamLine::Feed(f) => {
                     runner.scheduler.feed(f.tasks).map_err(sim_err)?;
                     runner.fed_until = runner.fed_until.max(f.until);
                 }
-                Ok(ManifestLine::Commit(c)) => {
+                StreamLine::Commit(c) => {
                     let record = runner.tick_in_memory()?;
                     if record != c.record {
                         return Err(Error::Manifest(
@@ -502,28 +490,9 @@ impl StreamRunner {
                         ));
                     }
                 }
-                Err(_) if torn_ok => break,
-                Err(e) => return Err(Error::Manifest(e)),
             }
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| Error::Io(format!("stream manifest {}: {e}", path.display())))?;
-        runner.manifest = Some(ManifestFile {
-            path: path.to_path_buf(),
-            file,
-        });
-        if fresh {
-            let line = serde_json::to_string(&expected)
-                .map_err(|e| Error::Io(format!("stream header: {e}")))?;
-            runner
-                .manifest
-                .as_mut()
-                .expect("just attached")
-                .append(&line)?;
-        }
+        runner.manifest = Some(log);
         Ok(runner)
     }
 
@@ -619,21 +588,17 @@ impl StreamRunner {
     /// on manifest failures (the in-memory feed has already happened —
     /// at-most-once durability, never double-commit).
     pub fn feed(&mut self, until: f64, tasks: Vec<Task>) -> Result<usize> {
-        let line = match &self.manifest {
-            Some(_) => Some(
-                serde_json::to_string(&FeedLine {
-                    kind: "feed".to_string(),
-                    until,
-                    tasks: tasks.clone(),
-                })
-                .map_err(|e| Error::Io(format!("stream feed line: {e}")))?,
-            ),
-            None => None,
-        };
+        let line = self.manifest.is_some().then(|| {
+            StreamLine::Feed(FeedLine {
+                kind: "feed".to_string(),
+                until,
+                tasks: tasks.clone(),
+            })
+        });
         let n = self.scheduler.feed(tasks).map_err(sim_err)?;
         self.fed_until = self.fed_until.max(until);
-        if let (Some(m), Some(line)) = (self.manifest.as_mut(), line) {
-            m.append(&line)?;
+        if let (Some(log), Some(line)) = (&self.manifest, line) {
+            log.append(&line).map_err(append_error)?;
         }
         Ok(n)
     }
@@ -646,13 +611,12 @@ impl StreamRunner {
     /// internal errors; manifest I/O as [`Error::Io`].
     pub fn tick(&mut self) -> Result<HorizonRecord> {
         let record = self.tick_in_memory()?;
-        if let Some(m) = self.manifest.as_mut() {
-            let line = serde_json::to_string(&CommitLine {
+        if let Some(log) = &self.manifest {
+            log.append(&StreamLine::Commit(CommitLine {
                 kind: "commit".to_string(),
                 record: record.clone(),
-            })
-            .map_err(|e| Error::Io(format!("stream commit line: {e}")))?;
-            m.append(&line)?;
+            }))
+            .map_err(append_error)?;
         }
         Ok(record)
     }
@@ -688,6 +652,10 @@ impl StreamRunner {
         }
         Ok(records)
     }
+}
+
+fn append_error(e: std::io::Error) -> Error {
+    Error::Io(format!("stream manifest append: {e}"))
 }
 
 fn sim_err(e: SimError) -> Error {
@@ -858,6 +826,8 @@ mod tests {
         let path = dir.join("stream.jsonl");
         let _ = std::fs::remove_file(&path);
         let config = stream_config(20.0, f64::INFINITY, true);
+        let mut whole = StreamRunner::new(real_system(), config).unwrap();
+        whole.drive(&mut arrivals(), 80.0).unwrap();
         {
             let mut r = StreamRunner::resume(real_system(), config, &path).unwrap();
             r.drive(&mut arrivals(), 20.0).unwrap();
@@ -865,12 +835,27 @@ mod tests {
         // Simulate a crash mid-append.
         {
             use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             write!(f, "{{\"kind\":\"commit\",\"rec").unwrap();
         }
-        let resumed = StreamRunner::resume(real_system(), config, &path).unwrap();
-        assert_eq!(resumed.scheduler().ticks(), 1);
+        {
+            let mut resumed = StreamRunner::resume(real_system(), config, &path).unwrap();
+            assert_eq!(resumed.scheduler().ticks(), 1);
+            resumed.drive(&mut arrivals(), 60.0).unwrap();
+        }
+        // The first resume's appends went onto clean lines, so a second
+        // resume replays them all.
+        let mut again = StreamRunner::resume(real_system(), config, &path).unwrap();
         let _ = std::fs::remove_file(&path);
+        assert_eq!(again.scheduler().ticks(), 3);
+        again.drive(&mut arrivals(), 80.0).unwrap();
+        assert_eq!(
+            serde_json::to_string(whole.scheduler().timeline()).unwrap(),
+            serde_json::to_string(again.scheduler().timeline()).unwrap(),
+        );
     }
 
     #[test]

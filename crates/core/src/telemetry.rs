@@ -27,15 +27,13 @@
 //! [`Campaign`]: crate::campaign::Campaign
 
 use crate::campaign::CellId;
-use crate::chaos_hooks;
-use crate::durable::{lock_unpoisoned, SyncOnFlush};
+use crate::jsonl::{Log, Record};
 use hetsched_moea::observe::GenerationStats;
 use serde::{Deserialize, Serialize};
-use std::fs::OpenOptions;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bucket boundaries (seconds) of the cell-duration histogram; an
@@ -725,11 +723,20 @@ impl HeartbeatLine {
     }
 }
 
+impl Record for HeartbeatLine {
+    const SYNC: bool = true;
+    const FAULT_POINT: Option<&'static str> = Some("heartbeat.tick");
+
+    fn fault_scope(&self) -> &dyn std::fmt::Display {
+        &self.cells_done
+    }
+}
+
 /// A rate-limited JSONL progress sink. Appends (never truncates) so that
-/// a resumed campaign continues the same file, and flushes every line so
-/// `tail -f` and a kill lose nothing.
+/// a resumed campaign continues the same file, and fsyncs every line so
+/// `tail -f` and a kill or power loss lose nothing.
 pub struct Heartbeat {
-    sink: Mutex<Box<dyn Write + Send>>,
+    log: Log<HeartbeatLine>,
     every: Duration,
     /// Microseconds (since the owning registry's start) of the last emit;
     /// `u64::MAX` = never.
@@ -737,36 +744,24 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// Opens `path` for appending (creating it if needed).
+    /// Opens `path` for appending (creating it if needed, and cutting a
+    /// torn final line left by a killed run).
     ///
     /// # Errors
     ///
     /// File open failures.
     pub fn create(path: impl AsRef<Path>, every: Duration) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Heartbeat::to_writer(BufWriter::new(file), every))
-    }
-
-    /// Like [`Heartbeat::create`], but every emitted line is additionally
-    /// fsynced (`sync_data`) — the CLI uses this so the heartbeat file is
-    /// a durable checkpoint of campaign progress, not just a kernel
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// File open failures.
-    pub fn create_durable(path: impl AsRef<Path>, every: Duration) -> io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Heartbeat::to_writer(
-            BufWriter::new(SyncOnFlush(file)),
-            every,
-        ))
+        Ok(Heartbeat::with_log(Log::open(path.as_ref())?, every))
     }
 
     /// Wraps any writer — for tests and in-memory capture.
     pub fn to_writer(writer: impl Write + Send + 'static, every: Duration) -> Self {
+        Heartbeat::with_log(Log::to_writer(writer), every)
+    }
+
+    fn with_log(log: Log<HeartbeatLine>, every: Duration) -> Self {
         Heartbeat {
-            sink: Mutex::new(Box::new(writer)),
+            log,
             every,
             last_emit_us: AtomicU64::new(u64::MAX),
         }
@@ -804,21 +799,9 @@ impl Heartbeat {
             Ordering::Relaxed,
         );
         let line = HeartbeatLine::from_snapshot(&registry.snapshot());
-        let rendered = match serde_json::to_string(&line) {
-            Ok(rendered) => rendered,
-            Err(e) => {
-                tracing::warn!("heartbeat serialisation failed: {e}");
-                return;
-            }
-        };
-        // Poison-recovering lock + in-lock fault point: a heartbeat IO
-        // failure (injected or real) is logged and swallowed — progress
-        // reporting must never take the campaign down.
-        let mut sink = lock_unpoisoned(&self.sink);
-        let wrote = chaos_hooks::raise_io("heartbeat.tick", &line.cells_done)
-            .and_then(|()| writeln!(sink, "{rendered}"))
-            .and_then(|()| sink.flush());
-        if let Err(e) = wrote {
+        // A heartbeat failure (injected or real) is logged and swallowed —
+        // progress reporting must never take the campaign down.
+        if let Err(e) = self.log.append(&line) {
             tracing::warn!("heartbeat write failed: {e}");
         }
     }
@@ -1120,6 +1103,7 @@ impl Drop for HeartbeatTicker {
 mod tests {
     use super::*;
     use hetsched_moea::observe::PhaseTimings;
+    use std::sync::Mutex;
 
     /// A shared in-memory writer for asserting heartbeat output.
     #[derive(Clone, Default)]

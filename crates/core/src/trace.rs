@@ -7,9 +7,9 @@
 //!
 //! * [`SpanRecord`] — the serialisable mirror of a completed span, one
 //!   JSON line per span;
-//! * [`TraceWriter`] — an append-mode JSONL sink with the journal's
-//!   torn-tail discipline ([`read_trace`] drops a torn final line, and
-//!   rejects corruption anywhere earlier);
+//! * [`TraceWriter`] — an append-mode `jsonl` log of spans
+//!   ([`read_trace`] drops a torn final line, and rejects corruption
+//!   anywhere earlier);
 //! * [`TraceMux`] — the process-global sink for multi-tenant processes
 //!   (the serve daemon): routes each span by trace id to a registered
 //!   per-job writer, with an optional default writer for everything else;
@@ -23,13 +23,13 @@
 //! touches the engine RNG streams, so traced and untraced runs stay
 //! bit-identical.
 
-use crate::durable::lock_unpoisoned;
+use crate::jsonl::{self, Log, Record};
 use crate::{CoreError, Result};
 use serde::{Deserialize, Deserializer, Number, Serialize, Serializer, Value};
-use std::fs::OpenOptions;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 use tracing::{ClosedSpan, FieldValue, Level, SpanSink};
 
 /// One completed span, as persisted to a trace JSONL file. The owned
@@ -190,60 +190,62 @@ impl<'de> Deserialize<'de> for SpanRecord {
     }
 }
 
+impl Record for SpanRecord {}
+
 /// An append-mode JSONL sink for completed spans: one [`SpanRecord`] per
 /// line, flushed per append so a killed process loses at most the line
-/// being written — the journal's torn-tail discipline.
+/// being written.
 ///
 /// Write errors are reported once via `tracing::warn!` and further
 /// appends are suppressed, so a full disk cannot abort the traced run.
 pub struct TraceWriter {
-    sink: Mutex<Option<Box<dyn Write + Send>>>,
+    log: Log<SpanRecord>,
+    failed: AtomicBool,
 }
 
 impl TraceWriter {
-    /// Opens (appending, creating) a trace file.
+    /// Opens (appending, creating) a trace file. A torn final line left
+    /// by a killed run is cut off first, so new spans start on a line of
+    /// their own.
     ///
     /// # Errors
     ///
-    /// File creation failures.
+    /// File open failures.
     pub fn create(path: impl AsRef<Path>) -> Result<TraceWriter> {
         let path = path.as_ref();
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
+        let log = Log::open(path)
             .map_err(|e| CoreError::Io(format!("open trace {}: {e}", path.display())))?;
-        Ok(TraceWriter::to_writer(BufWriter::new(file)))
+        Ok(TraceWriter::with_log(log))
     }
 
     /// Wraps any writer — handy for tests and in-memory capture.
     pub fn to_writer(writer: impl Write + Send + 'static) -> TraceWriter {
+        TraceWriter::with_log(Log::to_writer(writer))
+    }
+
+    fn with_log(log: Log<SpanRecord>) -> TraceWriter {
         TraceWriter {
-            sink: Mutex::new(Some(Box::new(writer))),
+            log,
+            failed: AtomicBool::new(false),
         }
     }
 
     /// Appends one span as a JSON line and flushes it. After the first
     /// failure the writer disables itself (appends become no-ops).
     pub fn append(&self, record: &SpanRecord) {
-        let line = serde_json::to_string(record).unwrap_or_default();
-        let mut sink = lock_unpoisoned(&self.sink);
-        let Some(writer) = sink.as_mut() else {
+        if self.failed.load(Ordering::Relaxed) {
             return;
-        };
-        let outcome = writeln!(writer, "{line}").and_then(|()| writer.flush());
-        if let Err(e) = outcome {
-            tracing::warn!("trace write failed: {e}; disabling trace output");
-            *sink = None;
+        }
+        if let Err(e) = self.log.append(record) {
+            if !self.failed.swap(true, Ordering::Relaxed) {
+                tracing::warn!("trace write failed: {e}; disabling trace output");
+            }
         }
     }
 
-    /// Flushes the underlying writer.
-    pub fn flush_writer(&self) {
-        if let Some(writer) = lock_unpoisoned(&self.sink).as_mut() {
-            let _ = writer.flush();
-        }
-    }
+    /// Flushes the writer. Every append is already flushed, so this has
+    /// nothing left to do; it exists for [`SpanSink::flush`].
+    pub fn flush_writer(&self) {}
 }
 
 impl SpanSink for TraceWriter {
@@ -266,25 +268,9 @@ impl SpanSink for TraceWriter {
 /// I/O failures, or a malformed line that is not the last.
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Vec<SpanRecord>> {
     let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| CoreError::Io(format!("read trace {}: {e}", path.display())))?;
-    let mut records = Vec::new();
-    let mut torn = false;
-    for line in BufReader::new(file).lines() {
-        let line =
-            line.map_err(|e| CoreError::Io(format!("read trace {}: {e}", path.display())))?;
-        if torn {
-            return Err(CoreError::Io(format!(
-                "trace {} has spans after a torn line",
-                path.display()
-            )));
-        }
-        match serde_json::from_str::<SpanRecord>(&line) {
-            Ok(record) => records.push(record),
-            Err(_) => torn = true,
-        }
-    }
-    Ok(records)
+    jsonl::read(path)
+        .map(|contents| contents.records)
+        .map_err(|e| CoreError::Io(format!("read trace {}: {e}", path.display())))
 }
 
 /// The process-global span sink for multi-tenant processes: spans are
@@ -852,6 +838,29 @@ mod tests {
         std::fs::write(&path, format!("{{\"torn\n{a}\n")).unwrap();
         assert!(read_trace(&path).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reopening_a_torn_trace_keeps_every_later_span() {
+        let path = std::env::temp_dir().join(format!(
+            "hetsched-trace-reopen-{}.jsonl",
+            std::process::id()
+        ));
+        let old = span(1, 2, None, "a", 0, 10);
+        let a = serde_json::to_string(&old).unwrap();
+        std::fs::write(&path, format!("{a}\n{{\"trace_id\":1,\"sp")).unwrap();
+        let writer = TraceWriter::create(&path).unwrap();
+        let new = [
+            span(1, 3, Some(2), "b", 1, 5),
+            span(1, 4, Some(2), "c", 2, 5),
+        ];
+        for r in &new {
+            writer.append(r);
+        }
+        drop(writer);
+        let read = read_trace(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(read, [old, new[0].clone(), new[1].clone()]);
     }
 
     #[test]

@@ -150,11 +150,7 @@ impl Worker {
         spec.validate()?;
         let cells = spec.cells();
         let fingerprint = spec.fingerprint();
-        let store = Arc::new(LocalManifestStore::open(
-            manifest,
-            &fingerprint,
-            self.campaign.sync_every(),
-        )?);
+        let store = Arc::new(LocalManifestStore::open(manifest, &fingerprint)?);
 
         let mut frameworks: HashMap<DatasetId, Framework> = HashMap::new();
         for &dataset in &spec.datasets {
@@ -209,7 +205,6 @@ impl Worker {
                         );
                         store
                             .append_lease(&acquire)
-                            .and_then(|()| store.sync())
                             .map_err(|e| CoreError::Io(format!("append lease acquire: {e}")))?;
                         Some((cell, epoch, deadline, steal))
                     }
@@ -261,7 +256,6 @@ impl Worker {
                 store
                     .append_cell(&record)
                     .and_then(|()| store.append_lease(&release))
-                    .and_then(|()| store.sync())
                     .map_err(|e| CoreError::Io(format!("append cell result: {e}")))?;
                 executed += 1;
                 executed_cells.push(cell);
@@ -550,7 +544,7 @@ mod tests {
         // A dead worker left an expired claim on the first cell.
         let path = temp_manifest("steal");
         let _ = std::fs::remove_file(&path);
-        let store = LocalManifestStore::open(&path, &fingerprint, 1).unwrap();
+        let store = LocalManifestStore::open(&path, &fingerprint).unwrap();
         store
             .append_lease(&LeaseRecord::new(
                 cells[0],
@@ -560,7 +554,6 @@ mod tests {
                 now_s() - 60.0,
             ))
             .unwrap();
-        store.sync().unwrap();
         drop(store);
 
         let outcome = Worker::new(Campaign::new(spec), "w2")
@@ -584,7 +577,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             // The takeover worker re-ran the cell at epoch 2...
-            let store = LocalManifestStore::open(&path, &fingerprint, 1).unwrap();
+            let store = LocalManifestStore::open(&path, &fingerprint).unwrap();
             store
                 .append_lease(&LeaseRecord::new(
                     cells[0],
@@ -611,7 +604,6 @@ mod tests {
             zombie.worker = Some("w2".to_string());
             zombie.epoch = Some(2);
             store.append_cell(&zombie).unwrap();
-            store.sync().unwrap();
         }
 
         let (_, records) = crate::manifest::load_manifest_records(&path)

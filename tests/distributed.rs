@@ -126,7 +126,7 @@ fn a_worker_takes_over_expired_leases_and_reports_do_not_drift() {
     // leases sit in the manifest with deadlines already in the past.
     let cells = spec.cells();
     {
-        let store = LocalManifestStore::open(&manifest, &spec.fingerprint(), 1).unwrap();
+        let store = LocalManifestStore::open(&manifest, &spec.fingerprint()).unwrap();
         let _lock = store.lock().unwrap();
         for &cell in &cells[..2] {
             store
@@ -139,7 +139,6 @@ fn a_worker_takes_over_expired_leases_and_reports_do_not_drift() {
                 ))
                 .unwrap();
         }
-        store.sync().unwrap();
     }
 
     let survivor = Worker::new(Campaign::new(spec), "survivor")
@@ -183,7 +182,7 @@ fn a_fenced_result_is_dropped_at_merge_and_the_cell_reruns() {
     // zombie then wakes up and appends a poisoned result under its
     // superseded epoch — it must never merge.
     {
-        let store = LocalManifestStore::open(&manifest, &spec.fingerprint(), 1).unwrap();
+        let store = LocalManifestStore::open(&manifest, &spec.fingerprint()).unwrap();
         let _lock = store.lock().unwrap();
         store
             .append_lease(&LeaseRecord::new(
@@ -215,7 +214,6 @@ fn a_fenced_result_is_dropped_at_merge_and_the_cell_reruns() {
                 epoch: Some(1),
             })
             .unwrap();
-        store.sync().unwrap();
     }
 
     // Replay alone already fences the stale append.
